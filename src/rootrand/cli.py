@@ -39,7 +39,6 @@ from .generator import (
 from .roots import int_nth_root, root_fractional_digits
 from .stats import (
     DEFAULT_STRING_LENGTHS,
-    TEST_RUNNERS,
     batch_test,
     chi_square_critical,
     chi_square_statistic,
@@ -247,32 +246,27 @@ def _write_csv(path: Path, header, rows):
         writer.writerows(rows)
 
 
-def _battery(config, suites, strings, alpha, workers, keep_reports=True):
-    results = []
-    for suite in suites:
-        results.append(
-            batch_test(
-                config,
-                suite,
-                strings,
-                DEFAULT_STRING_LENGTHS[suite],
-                alpha,
-                workers,
-                keep_reports=keep_reports,
-            )
-        )
-    return results
+def _write_pair_table(path: Path, tally) -> np.ndarray:
+    """Write the 10x10 pair tally as one CSV row per digit pair; return its frequencies."""
+    freq = tally.frequencies()
+    _write_csv(
+        path,
+        ["left_digit", "right_digit", "count", "frequency"],
+        [
+            (i, j, int(tally.counts[i, j]), f"{freq[i, j]:.5f}")
+            for i in range(10)
+            for j in range(10)
+        ],
+    )
+    return freq
 
 
 def cmd_test(args) -> int:
     config = resolve_config(args)
     start = time.perf_counter()
-    suites = list(_CHI_SUITES) if args.suite in ("all",) else [args.suite]
-    run_chi = [s for s in suites if s in _CHI_SUITES]
+    run_chi = [s for s in _CHI_SUITES if args.suite in (s, "all")]
     run_pairs = args.suite in ("pairs", "all")
     run_dist = args.suite in ("distribution", "all")
-    if args.suite in ("pairs", "distribution"):
-        run_chi = []
 
     out = Path(args.out)
     base = out.with_suffix("")
@@ -280,7 +274,11 @@ def cmd_test(args) -> int:
     lines = [f"stream test report (alpha={args.alpha})", ""]
 
     if run_chi:
-        results = _battery(config, run_chi, args.strings, args.alpha, args.workers)
+        results = [
+            batch_test(config, suite, args.strings, DEFAULT_STRING_LENGTHS[suite], args.alpha,
+                       args.workers, keep_reports=True)
+            for suite in run_chi
+        ]
         _write_csv(
             out,
             ["suite", "n_strings", "string_length", "passed", "failed", "failed_percent", "alpha"],
@@ -312,17 +310,8 @@ def cmd_test(args) -> int:
 
     if run_pairs:
         tally = pair_frequency_table(config, args.pairs)
-        freq = tally.frequencies()
         pairs_path = Path(str(base) + "_pairs.csv")
-        _write_csv(
-            pairs_path,
-            ["left_digit", "right_digit", "count", "frequency"],
-            [
-                (i, j, int(tally.counts[i, j]), f"{freq[i, j]:.5f}")
-                for i in range(10)
-                for j in range(10)
-            ],
-        )
+        freq = _write_pair_table(pairs_path, tally)
         outputs.append(str(pairs_path))
         off = ~np.eye(10, dtype=bool)
         lines.append(f"digit pairs: {tally.total} compared")
@@ -478,7 +467,10 @@ def cmd_repro(args) -> int:
     ok, detail = _determinism_check(config, args.workers)
     checks.append(("determinism and workers", ok, detail))
 
-    results = _battery(config, _CHI_SUITES, strings, args.alpha, args.workers, keep_reports=False)
+    results = [
+        batch_test(config, suite, strings, DEFAULT_STRING_LENGTHS[suite], args.alpha, args.workers)
+        for suite in _CHI_SUITES
+    ]
     lo, hi = _binomial_band(strings, args.alpha)
     battery_path = out_dir / "table_battery.csv"
     _write_csv(
@@ -517,17 +509,8 @@ def cmd_repro(args) -> int:
         )
 
     tally = pair_frequency_table(config, pairs)
-    freq = tally.frequencies()
     pairs_path = out_dir / "table_pairs.csv"
-    _write_csv(
-        pairs_path,
-        ["left_digit", "right_digit", "count", "frequency"],
-        [
-            (i, j, int(tally.counts[i, j]), f"{freq[i, j]:.5f}")
-            for i in range(10)
-            for j in range(10)
-        ],
-    )
+    freq = _write_pair_table(pairs_path, tally)
     outputs.append(str(pairs_path))
     in_range = bool(freq.min() >= 0.009 and freq.max() <= 0.011)
     checks.append(

@@ -46,25 +46,10 @@ class StreamExhausted(RuntimeError):
     """More output was requested than a fixed override schedule can supply."""
 
 
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    f = 3
-    while f * f <= n:
-        if n % f == 0:
-            return False
-        f += 2
-    return True
-
-
 def _check_prime_tuple(name: str, values) -> tuple[int, ...]:
     out = tuple(int(v) for v in values)
     for v in out:
-        if not _is_prime(v):
+        if not _primes.is_prime(v):
             raise ConfigError(f"{name} must contain only primes, got {v}")
     if len(set(out)) != len(out):
         raise ConfigError(f"{name} must not repeat primes")
@@ -163,13 +148,34 @@ def _block_entries(config: GeneratorConfig, block: int):
             yield ScheduleEntry(j, i, degree, c1[i - 1], c2[(i - 1 - j) % n])
 
 
-def _iter_schedule(config: GeneratorConfig):
+def _schedule_tasks(config: GeneratorConfig):
+    """(left, right, degree, first, count) for every schedule entry, in stream order.
+
+    Plain-int tuples, so worker processes receive them cheaply. Configs
+    with c1/c2 overrides stop after their one block.
+    """
+    first, count = config.skip_digits + 1, config.window
     block = config.block_index
     while True:
-        yield from _block_entries(config, block)
+        for e in _block_entries(config, block):
+            yield e.left, e.right, e.root_degree, first, count
         if config.c1 is not None:
             return
         block += 1
+
+
+def _entry_windows(task) -> tuple[np.ndarray, np.ndarray]:
+    """The aligned digit windows of one schedule entry's two roots."""
+    left, right, degree, first, count = task
+    return (
+        root_fractional_digits(left, degree, first, count),
+        root_fractional_digits(right, degree, first, count),
+    )
+
+
+def _schedule_windows(config: GeneratorConfig):
+    """Digit-window pairs of every schedule entry of config, in stream order."""
+    return map(_entry_windows, _schedule_tasks(config))
 
 
 def schedule(config: GeneratorConfig) -> list[ScheduleEntry]:
@@ -224,17 +230,9 @@ def concat(chunks) -> np.ndarray:
     return out
 
 
-def _entry_bits(task) -> np.ndarray:
-    left, right, degree, first, count = task
-    a = root_fractional_digits(left, degree, first, count)
-    b = root_fractional_digits(right, degree, first, count)
-    ne = a != b
-    return (a[ne] > b[ne]).astype(np.uint8)
-
-
 def _entry_bits_packed(task):
-    # Worker-side variant: packed bytes cross the process boundary 8x smaller.
-    bits = _entry_bits(task)
+    # Packed bytes cross the process boundary 8x smaller.
+    bits = operator_O(*_entry_windows(task))
     return np.packbits(bits).tobytes(), int(bits.size)
 
 
@@ -249,7 +247,7 @@ class StreamCache:
 
     def __init__(self, config: GeneratorConfig):
         self.config = config
-        self._entries = _iter_schedule(config)
+        self._tasks = _schedule_tasks(config)
         self._chunks: list[np.ndarray] = []
         self._buf = np.zeros(0, dtype=np.uint8)
         self._total = 0
@@ -257,10 +255,6 @@ class StreamCache:
 
     def __len__(self) -> int:
         return self._total
-
-    def _task(self, entry: ScheduleEntry):
-        cfg = self.config
-        return (entry.left, entry.right, entry.root_degree, cfg.skip_digits + 1, cfg.window)
 
     def prefix(self, n_bits: int, workers: int = 1) -> np.ndarray:
         """The first n_bits of the stream as a read-only uint8 view."""
@@ -281,13 +275,12 @@ class StreamCache:
         # Ties run near 10 percent, so 0.88 bits per compared digit
         # slightly overshoots and one wave usually suffices.
         est = math.ceil(deficit / (0.88 * self.config.window))
-        batch = list(islice(self._entries, max(1, min(1024, est))))
-        if not batch:
+        tasks = list(islice(self._tasks, max(1, min(1024, est))))
+        if not tasks:
             raise StreamExhausted(
                 f"override schedule exhausted after {self._total} bits; "
                 "configs with explicit c1/c2 do not advance to new blocks"
             )
-        tasks = [self._task(e) for e in batch]
         if workers > 1 and len(tasks) > 1:
             with ProcessPoolExecutor(max_workers=min(workers, len(tasks))) as pool:
                 chunk = max(1, len(tasks) // (workers * 4))
@@ -297,7 +290,7 @@ class StreamCache:
                     self._total += nbits
         else:
             for task in tasks:
-                bits = _entry_bits(task)
+                bits = operator_O(*_entry_windows(task))
                 self._chunks.append(bits)
                 self._total += bits.size
 
@@ -336,15 +329,11 @@ def pair_stream(config: GeneratorConfig, max_pairs: int) -> np.ndarray:
         raise ValueError("max_pairs must be a nonnegative int")
     if max_pairs == 0:
         return np.zeros((0, 2), dtype=np.uint8)
-    first = config.skip_digits + 1
-    count = config.window
     parts = []
     total = 0
-    for entry in _iter_schedule(config):
-        a = root_fractional_digits(entry.left, entry.root_degree, first, count)
-        b = root_fractional_digits(entry.right, entry.root_degree, first, count)
+    for a, b in _schedule_windows(config):
         parts.append(np.stack([a, b], axis=1))
-        total += count
+        total += a.size
         if total >= max_pairs:
             return np.concatenate(parts)[:max_pairs]
     raise StreamExhausted(
@@ -353,6 +342,11 @@ def pair_stream(config: GeneratorConfig, max_pairs: int) -> np.ndarray:
 
 
 _NIBBLE_WEIGHTS = np.array([8, 4, 2, 1], dtype=np.int64)
+
+
+def _nibble_values(bits: np.ndarray) -> np.ndarray:
+    groups = bits.size // 4
+    return bits[: groups * 4].reshape(groups, 4) @ _NIBBLE_WEIGHTS
 
 
 def bits_to_decimal(bits) -> np.ndarray:
@@ -364,10 +358,7 @@ def bits_to_decimal(bits) -> np.ndarray:
     arr = np.asarray(bits, dtype=np.uint8).ravel()
     if arr.size and arr.max() > 1:
         raise ValueError("bits may only contain 0 and 1")
-    groups = arr.size // 4
-    if groups == 0:
-        return np.zeros(0, dtype=np.uint8)
-    values = arr[: groups * 4].reshape(groups, 4) @ _NIBBLE_WEIGHTS
+    values = _nibble_values(arr)
     return values[values <= 9].astype(np.uint8)
 
 
@@ -384,13 +375,8 @@ def digits_stream(config: GeneratorConfig, count: int, workers: int = 1):
     est = max(64, math.ceil(count * 6.4) + 64)
     while True:
         est -= est % 4
-        bits = cache.prefix(est, workers)
-        groups = bits.size // 4
-        values = bits[: groups * 4].reshape(groups, 4) @ _NIBBLE_WEIGHTS
-        keep = values <= 9
-        kept = np.cumsum(keep)
-        if kept.size and kept[-1] >= count:
-            last_group = int(np.searchsorted(kept, count))
-            digits = values[keep][:count].astype(np.uint8)
-            return digits, 4 * (last_group + 1)
+        values = _nibble_values(cache.prefix(est, workers))
+        kept = np.flatnonzero(values <= 9)
+        if kept.size >= count:
+            return values[kept[:count]].astype(np.uint8), 4 * (int(kept[count - 1]) + 1)
         est = math.ceil(est * 1.8)

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["PrimeTable", "PrimePairSets", "first_n_primes", "prime_pair_sets", "nth_prime"]
+__all__ = ["PrimeTable", "PrimePairSets", "first_n_primes", "prime_pair_sets", "nth_prime", "is_prime"]
 
 _SEGMENT = 1 << 18
 
@@ -108,6 +108,13 @@ def nth_prime(k: int) -> int:
     if not isinstance(k, int) or isinstance(k, bool) or k < 1:
         raise ValueError("k must be a positive int")
     return int(_ensure_table(k)[k - 1])
+
+
+def is_prime(n: int) -> bool:
+    """Whether n is prime, by division by the sieved primes up to isqrt(n)."""
+    if n < 2:
+        return False
+    return all(n % p for p in _flat_sieve(math.isqrt(n) + 1).tolist())
 
 
 def prime_pair_sets(n_pairs: int, block_index: int = 0) -> PrimePairSets:

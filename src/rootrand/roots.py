@@ -65,19 +65,25 @@ def _newton_nth_root(x: int, r: int) -> int:
     return guess
 
 
+_int_str_cap_lock = threading.Lock()
+
+
 def _to_decimal(x, width: int) -> bytes:
-    # int-to-str conversion is capped by default on new interpreters;
-    # lift the cap only as far as this value actually needs.
     if _HAVE_GMPY2:
         return gmpy2.mpz(x).digits(10).rjust(width, "0").encode("ascii")
     try:
         s = str(x)
     except ValueError:
-        setter = getattr(sys, "set_int_max_str_digits", None)
-        if setter is None:
-            raise
-        setter(width + 16)
-        s = str(x)
+        # int-to-str conversion is capped by default on new interpreters.
+        # The cap is process-wide, so lift it for this one conversion only,
+        # and under a lock so no two threads can leave it raised.
+        with _int_str_cap_lock:
+            cap = sys.get_int_max_str_digits()
+            sys.set_int_max_str_digits(width + 16)
+            try:
+                s = str(x)
+            finally:
+                sys.set_int_max_str_digits(cap)
     return s.rjust(width, "0").encode("ascii")
 
 

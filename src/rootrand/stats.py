@@ -14,8 +14,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .generator import GeneratorConfig, StreamExhausted, shared_stream, _iter_schedule
-from .roots import root_fractional_digits
+from .generator import GeneratorConfig, StreamExhausted, _schedule_windows, shared_stream
 
 __all__ = [
     "TestReport",
@@ -378,14 +377,10 @@ def pair_frequency_table(config: GeneratorConfig, max_pairs: int) -> PairTally:
     """
     if not isinstance(max_pairs, int) or isinstance(max_pairs, bool) or max_pairs < 1:
         raise ValueError("max_pairs must be a positive int")
-    first = config.skip_digits + 1
-    count = config.window
     table = np.zeros(100, dtype=np.int64)
     total = 0
-    for entry in _iter_schedule(config):
-        a = root_fractional_digits(entry.left, entry.root_degree, first, count)
-        b = root_fractional_digits(entry.right, entry.root_degree, first, count)
-        take = min(count, max_pairs - total)
+    for a, b in _schedule_windows(config):
+        take = min(a.size, max_pairs - total)
         codes = a[:take].astype(np.int64) * 10 + b[:take]
         table += np.bincount(codes, minlength=100)
         total += take

@@ -18,7 +18,7 @@ from rootrand import (
     pair_stream,
     schedule,
 )
-from rootrand.generator import _entry_bits, shared_stream
+from rootrand.generator import _entry_windows, shared_stream
 
 # Regression anchor: the first 64 bits of the default stream, confirmed
 # by two independent implementations of the pipeline. Any change here
@@ -197,10 +197,22 @@ def test_first_entry_yield():
     # First desk comparison: 19950 digit pairs give 17933 bits, so just
     # over 10 percent of positions tie. Both values are regression
     # anchors from two independent pipeline implementations.
-    bits = _entry_bits((2, 2741, 2, 51, 19_950))
+    bits = operator_O(*_entry_windows((2, 2741, 2, 51, 19_950)))
     assert bits.size == 17_933
     ties = 1 - bits.size / 19_950
     assert 0.05 < ties < 0.15
+
+
+@pytest.mark.parametrize("config_name, entries", [("worked_config", 1), ("desk_config", 3)])
+def test_pair_stream_compares_to_bit_stream(config_name, entries, request):
+    # The pair path and the bit path share one window pipeline, so
+    # comparing the pairs reproduces the stream bit for bit.
+    config = request.getfixturevalue(config_name)
+    pairs = pair_stream(config, entries * config.window)
+    bits = operator_O(pairs[:, 0], pairs[:, 1])
+    assert bits.size > 0
+    assert np.array_equal(bits, StreamCache(config).prefix(bits.size))
+    assert np.array_equal(bits, generate_bits(config, bits.size))
 
 
 def test_override_stream_exhausts(worked_config):

@@ -3,6 +3,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rootrand import first_n_primes, nth_prime, prime_pair_sets
+from rootrand.primes import is_prime
 
 
 def test_first_five():
@@ -23,6 +24,12 @@ def test_sympy_cross_check():
     assert table.primes == tuple(sympy.primerange(2, table.primes[-1] + 1))
     for k in (1, 7, 500, 1999):
         assert table.nth(k) == sympy.prime(k)
+
+
+def test_is_prime_matches_sympy():
+    sympy = pytest.importorskip("sympy")
+    wrong = [n for n in range(20_001) if is_prime(n) != sympy.isprime(n)]
+    assert wrong == []
 
 
 def test_prime_table_access():

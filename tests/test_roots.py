@@ -1,5 +1,7 @@
 import functools
 import sys
+import time
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -59,16 +61,16 @@ def test_root_monotone(x, r):
 def default_int_str_cap():
     """Hold the int-to-str conversion cap at the interpreter default.
 
-    The fallback lifts the process-wide cap and leaves it lifted, so
-    without this a wide conversion crosses the cap only when no earlier
-    test has already raised it. The previous cap is restored afterwards.
+    A wide conversion then crosses the cap whatever an earlier caller
+    set it to. Yields the pinned cap (None on interpreters without one)
+    and restores the previous cap afterwards.
     """
     if not hasattr(sys, "get_int_max_str_digits"):
-        yield
+        yield None
         return
     previous = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(sys.int_info.default_max_str_digits)
-    yield
+    yield sys.int_info.default_max_str_digits
     sys.set_int_max_str_digits(previous)
 
 
@@ -92,6 +94,45 @@ def test_fallback_without_gmpy2(monkeypatch, default_int_str_cap):
     assert wide.size == 5000
     t = _scaled_root(1, wide)
     assert t**3 <= 5 * 10**15000 < (t + 1) ** 3
+    # The cap was lifted for the one conversion only.
+    if default_int_str_cap is not None:
+        assert sys.get_int_max_str_digits() == default_int_str_cap
+
+
+class _PausingCapSys:
+    """sys, with a pause after each read or write of the int-to-str cap,
+    so that concurrent conversions interleave exactly there."""
+
+    def __getattr__(self, name):
+        return getattr(sys, name)
+
+    def get_int_max_str_digits(self):
+        cap = sys.get_int_max_str_digits()
+        time.sleep(0.005)
+        return cap
+
+    def set_int_max_str_digits(self, n):
+        sys.set_int_max_str_digits(n)
+        time.sleep(0.005)
+
+
+def test_fallback_cap_restored_across_threads(monkeypatch, default_int_str_cap):
+    # No conversion may have the cap lowered under it by another thread,
+    # and none may leave it raised.
+    if default_int_str_cap is None:
+        pytest.skip("interpreter has no int-to-str conversion cap")
+    _force_fallback(monkeypatch)
+    monkeypatch.setattr(roots_mod, "sys", _PausingCapSys())
+    width = default_int_str_cap + 100
+    x = 10**width - 1
+
+    def convert_a_few():
+        return all(roots_mod._to_decimal(x, width) == b"9" * width for _ in range(3))
+
+    with ThreadPoolExecutor(max_workers=4) as pool:
+        futures = [pool.submit(convert_a_few) for _ in range(4)]
+        assert all(f.result(timeout=60) for f in futures)
+    assert sys.get_int_max_str_digits() == default_int_str_cap
 
 
 def test_fallback_matches_gmpy2(monkeypatch):
@@ -127,11 +168,10 @@ def test_sqrt2_digits():
 
 
 def test_mpmath_cross_check():
-    mp = pytest.importorskip("mpmath").mp
-    mp.dps = 150
+    mpmath = pytest.importorskip("mpmath")
     for p, r, expect in ((5, 3, CBRT5_51_70), (17, 3, CBRT17_51_70)):
-        value = mp.root(p, r)
-        frac = mp.nstr(value, 120, strip_zeros=False).split(".")[1]
+        with mpmath.workdps(150):
+            frac = mpmath.nstr(mpmath.root(p, r), 120, strip_zeros=False).split(".")[1]
         assert frac[50:70] == expect
         assert frac[:20] == "".join(map(str, root_fractional_digits(p, r, 1, 20).tolist()))
 
