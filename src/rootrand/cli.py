@@ -20,9 +20,11 @@ from __future__ import annotations
 
 import argparse
 import csv
+import itertools
 import math
 import sys
 import time
+from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -33,10 +35,11 @@ from .generator import (
     GeneratorConfig,
     StreamCache,
     StreamExhausted,
+    _schedule_tasks,
     digits_stream,
     generate_bits,
 )
-from .roots import int_nth_root, root_fractional_digits
+from .roots import _root_digits, int_nth_root
 from .stats import (
     DEFAULT_STRING_LENGTHS,
     batch_test,
@@ -571,18 +574,21 @@ def cmd_repro(args) -> int:
 
 def _full_scale_plan(config, strings, dist_strings, pairs) -> str:
     window = config.window
-    samples = []
-    for _ in range(3):
-        t0 = time.perf_counter()
-        root_fractional_digits(10007, 2, config.skip_digits + 1, window)
-        samples.append(time.perf_counter() - t0)
-    per_root = sorted(samples)[1]
     bits_needed = max(strings * DEFAULT_STRING_LENGTHS["pentads"], dist_strings * 1000)
     entries_bits = math.ceil(bits_needed / (0.9 * window))
     entries_pairs = math.ceil(pairs / window)
     entries = max(entries_bits, entries_pairs)
     roots = 2 * entries
-    est = roots * per_root * 2.5  # digit compares and tallies ride along
+    # Root cost grows steeply with the degree, so time one uncached root
+    # per degree the planned entries use and weight it by their number.
+    per_degree = Counter(task[2] for task in itertools.islice(_schedule_tasks(config), entries))
+    per_root = {}
+    for degree in sorted(per_degree):
+        t0 = time.perf_counter()
+        _root_digits(10007, degree, config.precision_digits)
+        per_root[degree] = time.perf_counter() - t0
+    root_time = sum(2 * n * per_root[degree] for degree, n in per_degree.items())
+    est = root_time * 2.5  # digit compares and tallies ride along
     return "\n".join(
         [
             "full-scale reproduction plan",
@@ -598,7 +604,11 @@ def _full_scale_plan(config, strings, dist_strings, pairs) -> str:
             f"  bits needed       {bits_needed}",
             f"  schedule entries  about {entries}",
             f"  roots to extract  about {roots}",
-            f"  measured root time {per_root * 1000:.1f} ms at {config.precision_digits} digits",
+            f"  measured root time at {config.precision_digits} digits, per degree:",
+            *(
+                f"    r={degree:<5} {per_root[degree] * 1000:9.1f} ms  x {2 * n} roots"
+                for degree, n in sorted(per_degree.items())
+            ),
             f"  estimated runtime about {max(1, math.ceil(est / 60))} min single process",
             "",
             "  note: these tables consume a stream prefix; generating the",

@@ -1,17 +1,23 @@
 """Exact integer nth roots and decimal digit windows of irrational roots.
 
-The fractional digits of p**(1/r) are recovered without floating point:
-scaling the radicand by 10**(r*D) shifts the root by 10**D, so the integer
-root of p * 10**(r*D) carries the first D fractional digits in its low
-decimal positions. Those digits are exact and do not change when D grows.
+The fractional digits of p**(1/r) are recovered exactly: scaling the
+radicand by 10**(r*D) shifts the root by 10**D, so the integer root of
+p * 10**(r*D) carries the first D fractional digits in its low decimal
+positions. Those digits are exact and do not change when D grows.
+
+gmpy2 computes that integer root when it imports. Without it the root is
+computed in the standard library's ``decimal``, whose multiplication and
+division stay fast at a hundred thousand digits and whose output is
+already decimal, and every result is proved by an exact bracket.
 """
 
 from __future__ import annotations
 
-import sys
+import math
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
+from decimal import MAX_EMAX, MIN_EMIN, ROUND_FLOOR, Context, Decimal, Inexact
 
 import numpy as np
 
@@ -49,6 +55,8 @@ def _newton_nth_root(x: int, r: int) -> int:
     if r == 1 or x == 0:
         return x
     bits = x.bit_length()
+    if bits <= r:
+        return 1  # 1 <= x < 2**r; also ends the recursion below
     if bits <= 52:
         guess = int(round(float(x) ** (1.0 / r)))
     else:
@@ -65,26 +73,65 @@ def _newton_nth_root(x: int, r: int) -> int:
     return guess
 
 
-_int_str_cap_lock = threading.Lock()
+# Digits carried beyond the requested depth by the decimal Newton iteration,
+# and the most +-1 corrections the exact bracket may make to its result.
+_GUARD_DIGITS = 10
+_REPAIR_STEPS = 4
 
 
-def _to_decimal(x, width: int) -> bytes:
+def _newton_floor(p: int, r: int, depth: int) -> Decimal:
+    """floor(p ** (1/r) * 10**depth) by Newton's method in decimal.
+
+    Each step roughly doubles the correct digits, so the precision doubles
+    from step to step up to depth plus guard digits. Rounding can still
+    leave the result one off the true floor; _decimal_root_digits checks
+    and repairs it.
+    """
+    e = math.log10(p) / r
+    lead = math.floor(e)
+    # Precisions from the target down to about what the float estimate
+    # holds; each step is given a few digits of slack, more for larger r.
+    slack = 2 + len(str(r))
+    levels = [depth + lead + 1 + _GUARD_DIGITS]
+    while levels[-1] > 2 * slack + 20:
+        levels.append(levels[-1] // 2 + slack)
+    ctx = Context(prec=levels[-1], Emax=MAX_EMAX, Emin=MIN_EMIN)
+    y = ctx.scaleb(Decimal(10 ** (e - lead)), lead)  # the only float: a ~15-digit estimate
+    for prec in reversed(levels):
+        ctx.prec = prec
+        # y <- ((r - 1) * y + p / y**(r - 1)) / r
+        y = ctx.divide(ctx.add(ctx.multiply(r - 1, y), ctx.divide(p, ctx.power(y, r - 1))), r)
+    return ctx.scaleb(y, depth).to_integral_value(rounding=ROUND_FLOOR)
+
+
+def _decimal_root_digits(p: int, r: int, depth: int) -> bytes:
+    """The first depth fractional digits of p ** (1/r), proved exact.
+
+    T from _newton_floor must satisfy T**r <= p * 10**(r*depth) < (T+1)**r,
+    evaluated in a context wide enough to hold both powers, with Inexact
+    trapped so that no operation can round. A T that misses is moved by one
+    at a time, at most _REPAIR_STEPS times.
+    """
+    t = _newton_floor(p, r, depth)
+    exact = Context(prec=r * (t.adjusted() + 2), Emax=MAX_EMAX, Emin=MIN_EMIN)
+    exact.traps[Inexact] = True
+    x = exact.scaleb(p, r * depth)
+    for _ in range(_REPAIR_STEPS):
+        if exact.power(t, r) > x:
+            t = exact.subtract(t, 1)
+        elif exact.power(exact.add(t, 1), r) <= x:
+            t = exact.add(t, 1)
+        else:
+            return str(t)[-depth:].encode("ascii")
+    raise ArithmeticError(f"Newton estimate of {p}**(1/{r}) at {depth} digits is off by more than {_REPAIR_STEPS}")
+
+
+def _root_digits(p: int, r: int, depth: int) -> bytes:
+    """The first depth fractional digits of p ** (1/r) as ASCII, uncached."""
     if _HAVE_GMPY2:
-        return gmpy2.mpz(x).digits(10).rjust(width, "0").encode("ascii")
-    try:
-        s = str(x)
-    except ValueError:
-        # int-to-str conversion is capped by default on new interpreters.
-        # The cap is process-wide, so lift it for this one conversion only,
-        # and under a lock so no two threads can leave it raised.
-        with _int_str_cap_lock:
-            cap = sys.get_int_max_str_digits()
-            sys.set_int_max_str_digits(width + 16)
-            try:
-                s = str(x)
-            finally:
-                sys.set_int_max_str_digits(cap)
-    return s.rjust(width, "0").encode("ascii")
+        root = int_nth_root(p * 10 ** (r * depth), r)
+        return gmpy2.mpz(root % 10 ** depth).digits(10).rjust(depth, "0").encode("ascii")
+    return _decimal_root_digits(p, r, depth)
 
 
 # Cache of fractional digit strings keyed by (p, r). Entries hold the
@@ -100,8 +147,7 @@ def _fractional_digit_bytes(p: int, r: int, depth: int) -> bytes:
         if hit is not None and len(hit) >= depth:
             _digit_cache.move_to_end((p, r))
             return hit
-    root = int_nth_root(p * 10 ** (r * depth), r)
-    digits = _to_decimal(root % 10 ** depth, depth)
+    digits = _root_digits(p, r, depth)
     with _cache_lock:
         hit = _digit_cache.get((p, r))
         if hit is None or len(hit) < depth:

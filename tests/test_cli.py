@@ -1,4 +1,5 @@
 import csv
+import re
 import subprocess
 import sys
 
@@ -192,6 +193,17 @@ def test_repro_full_scale_plan(tmp_path):
     assert manifest.status == "plan-only"
     assert manifest.config.n_pairs == 10_000
     assert manifest.config.precision_digits == 100_000
+    # The planned prefix stays inside round 1 here, so only r=2 is timed.
+    assert re.findall(r"^ +r=(\d+) ", plan, re.M) == ["2"]
+    # At desk scale the prefix spans blocks, so every round degree is
+    # timed and listed with its own cost.
+    desk_dir = tmp_path / "desk_plan"
+    rc = main(["repro", "--scale", "paper", "--n-pairs", "200", "--rounds", "4",
+               "--precision", "20000", "--out", str(desk_dir)])
+    assert rc == 0
+    plan = (desk_dir / "plan.txt").read_text()
+    assert re.findall(r"^ +r=(\d+) ", plan, re.M) == ["2", "3", "5", "7"]
+    assert all(re.search(rf"^ +r={d} +\d+\.\d ms  x \d+ roots$", plan, re.M) for d in (2, 3, 5, 7))
 
 
 def test_module_entrypoint_rerun(worked_cfg_file, tmp_path):

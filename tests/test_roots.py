@@ -1,7 +1,10 @@
+import decimal
 import functools
+import hashlib
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
+from collections import OrderedDict
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -9,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import rootrand.roots as roots_mod
-from rootrand import DigitBlock, int_nth_root, root_fractional_digits
+from rootrand import DigitBlock, first_n_primes, int_nth_root, root_fractional_digits
 from rootrand.roots import _newton_nth_root
 
 # Digits 51..70 of the cube roots of 5 and 17, cross-checked below
@@ -39,6 +42,14 @@ def test_root_validation():
         int_nth_root(4.0, 2)
     with pytest.raises(ValueError):
         int_nth_root(4, 2.0)
+
+
+def test_newton_root_below_two():
+    # x < 2**r with more than 52 bits: the root is 1, and the seeding
+    # recursion used to shift by zero bits forever.
+    assert _newton_nth_root(2**60, 61) == 1
+    assert _newton_nth_root(2**61 - 1, 61) == 1
+    assert _newton_nth_root(2**61, 61) == 2
 
 
 @given(x=st.integers(min_value=0, max_value=10**60), r=st.integers(min_value=1, max_value=11))
@@ -99,40 +110,73 @@ def test_fallback_without_gmpy2(monkeypatch, default_int_str_cap):
         assert sys.get_int_max_str_digits() == default_int_str_cap
 
 
-class _PausingCapSys:
-    """sys, with a pause after each read or write of the int-to-str cap,
-    so that concurrent conversions interleave exactly there."""
-
-    def __getattr__(self, name):
-        return getattr(sys, name)
-
-    def get_int_max_str_digits(self):
-        cap = sys.get_int_max_str_digits()
-        time.sleep(0.005)
-        return cap
-
-    def set_int_max_str_digits(self, n):
-        sys.set_int_max_str_digits(n)
-        time.sleep(0.005)
-
-
-def test_fallback_cap_restored_across_threads(monkeypatch, default_int_str_cap):
-    # No conversion may have the cap lowered under it by another thread,
-    # and none may leave it raised.
-    if default_int_str_cap is None:
-        pytest.skip("interpreter has no int-to-str conversion cap")
+def test_fallback_leaves_int_str_cap_alone(default_int_str_cap, monkeypatch):
+    # The decimal fallback never converts a wide int to str, so it has no
+    # reason to touch the process-wide cap, not even to restore it.
     _force_fallback(monkeypatch)
-    monkeypatch.setattr(roots_mod, "sys", _PausingCapSys())
-    width = default_int_str_cap + 100
-    x = 10**width - 1
+    calls = []
+    monkeypatch.setattr(sys, "set_int_max_str_digits", calls.append, raising=False)
+    wide = root_fractional_digits(5, 3, 1, 5000)
+    assert calls == []
+    # SHA-256 of the same window from the integer-Newton root this replaced.
+    digest = hashlib.sha256((wide + ord("0")).tobytes()).hexdigest()
+    assert digest == "be23146edf528f89c1aaf852046f6511adb310c2828c1c8dfbb8d3d4ece67d22"
 
-    def convert_a_few():
-        return all(roots_mod._to_decimal(x, width) == b"9" * width for _ in range(3))
 
-    with ThreadPoolExecutor(max_workers=4) as pool:
-        futures = [pool.submit(convert_a_few) for _ in range(4)]
-        assert all(f.result(timeout=60) for f in futures)
-    assert sys.get_int_max_str_digits() == default_int_str_cap
+_PRIMES_BELOW_1E5 = first_n_primes(9592).primes  # 99991 is the 9592nd prime
+
+
+@st.composite
+def _windows(draw):
+    first = draw(st.integers(min_value=1, max_value=3000))
+    return first, draw(st.integers(min_value=0, max_value=3001 - first))
+
+
+@given(p=st.sampled_from(_PRIMES_BELOW_1E5), r=st.sampled_from((2, 3, 5, 7, 11)), window=_windows())
+@settings(max_examples=60, deadline=None)
+def test_decimal_fallback_matches_mpmath(p, r, window):
+    mpmath = pytest.importorskip("mpmath")
+    first, count = window
+    depth = first + count - 1
+    with mock.patch.object(roots_mod, "_HAVE_GMPY2", False), \
+            mock.patch.object(roots_mod, "_digit_cache", OrderedDict()):
+        got = root_fractional_digits(p, r, first, count)
+    with mpmath.workdps(depth + 40):
+        scaled = int(mpmath.floor(mpmath.root(p, r) * mpmath.mpf(10) ** depth))
+    expect = str(scaled % 10**depth).rjust(depth, "0")[first - 1 : depth]
+    assert "".join(map(str, got.tolist())) == expect
+
+
+_NEWTON_FLOOR = roots_mod._newton_floor
+
+
+def _offset_newton(monkeypatch, offset):
+    """Move every decimal Newton result by offset units in its last place."""
+
+    def off(p, r, depth):
+        t = _NEWTON_FLOOR(p, r, depth)
+        return decimal.Context(prec=t.adjusted() + 2).add(t, offset)
+
+    monkeypatch.setattr(roots_mod, "_newton_floor", off)
+    monkeypatch.setattr(roots_mod, "_digit_cache", type(roots_mod._digit_cache)())
+
+
+def test_bracket_repairs_a_near_miss(monkeypatch):
+    _force_fallback(monkeypatch)
+    want = root_fractional_digits(5, 3, 1, 5000)
+    for offset in (1, -1):
+        _offset_newton(monkeypatch, offset)
+        assert np.array_equal(root_fractional_digits(5, 3, 1, 5000), want)
+
+
+def test_bracket_rejects_a_far_miss(monkeypatch):
+    _force_fallback(monkeypatch)
+    for offset in (1000, -1000):
+        _offset_newton(monkeypatch, offset)
+        start = time.perf_counter()
+        with pytest.raises(ArithmeticError, match="off by more than"):
+            root_fractional_digits(5, 3, 1, 5000)
+        assert time.perf_counter() - start < 5
 
 
 def test_fallback_matches_gmpy2(monkeypatch):
