@@ -66,6 +66,18 @@ _FULL_SCALE_CONFIG = dict(n_pairs=10_000, rounds=10_000, precision_digits=100_00
 # configuration plumbing
 
 
+def _config_value(where: str, key: str, value: str):
+    """One config value from text: an int, or a comma-separated int list for c1, c2, degrees."""
+    if key not in _CONFIG_INT_KEYS + _CONFIG_TUPLE_KEYS:
+        raise ValueError(f"{where}: unknown config key {key!r}")
+    try:
+        if key in _CONFIG_TUPLE_KEYS:
+            return tuple(int(v) for v in value.split(",") if v.strip())
+        return int(value)
+    except ValueError as exc:
+        raise ValueError(f"{where}: config key {key!r}: {exc}") from None
+
+
 def load_config_file(path: str | Path) -> dict:
     """Parse a flat key = value config file into a field dict."""
     values: dict = {}
@@ -78,13 +90,7 @@ def load_config_file(path: str | Path) -> dict:
             raise ValueError(f"{path}:{lineno}: expected 'key = value', got {raw!r}")
         key, _, value = line.partition("=")
         key = key.strip()
-        value = value.strip()
-        if key in _CONFIG_INT_KEYS:
-            values[key] = int(value)
-        elif key in _CONFIG_TUPLE_KEYS:
-            values[key] = tuple(int(v) for v in value.split(",") if v.strip())
-        else:
-            raise ValueError(f"{path}:{lineno}: unknown config key {key!r}")
+        values[key] = _config_value(f"{path}:{lineno}", key, value.strip())
     return values
 
 
@@ -95,16 +101,9 @@ def resolve_config(args) -> GeneratorConfig:
         values.update(_FULL_SCALE_CONFIG)
     if getattr(args, "config", None):
         values.update(load_config_file(args.config))
-    for flag, key in (
-        ("n_pairs", "n_pairs"),
-        ("rounds", "rounds"),
-        ("precision", "precision_digits"),
-        ("skip", "skip_digits"),
-        ("block", "block_index"),
-    ):
-        override = getattr(args, flag, None)
-        if override is not None:
-            values[key] = override
+    for key in _CONFIG_INT_KEYS:
+        if getattr(args, key, None) is not None:
+            values[key] = getattr(args, key)
     return GeneratorConfig(**values)
 
 
@@ -149,7 +148,7 @@ class RunManifest:
         counts: dict = {}
         outputs: list = []
         timing = 0.0
-        for raw in text.splitlines():
+        for lineno, raw in enumerate(text.splitlines(), start=1):
             line = raw.strip()
             if not line:
                 continue
@@ -162,10 +161,7 @@ class RunManifest:
                 status = value
             elif key.startswith("config."):
                 name = key[len("config.") :]
-                if name in _CONFIG_TUPLE_KEYS:
-                    config_values[name] = tuple(int(v) for v in value.split(","))
-                else:
-                    config_values[name] = int(value)
+                config_values[name] = _config_value(f"manifest line {lineno}", name, value)
             elif key.startswith("option."):
                 options[key[len("option.") :]] = value
             elif key.startswith("count."):
@@ -308,8 +304,6 @@ def cmd_test(args) -> int:
                 f"{r.failed_percent:>10.2f}"
             )
         lines.append("")
-        for r in results:
-            print(f"{r.test}: {r.passed}/{r.n_strings} strings passed")
 
     if run_pairs:
         tally = pair_frequency_table(config, args.pairs)
@@ -323,8 +317,6 @@ def cmd_test(args) -> int:
         gap = float(np.abs(freq - freq.T).max())
         lines.append(f"  largest swap asymmetry {gap:.5f}")
         lines.append("")
-        print(f"pairs: {tally.total} tallied, off-diagonal range "
-              f"[{freq[off].min():.5f}, {freq[off].max():.5f}]")
 
     if run_dist:
         summary = ones_count_distribution(config, args.strings, 1000, args.workers)
@@ -350,14 +342,11 @@ def cmd_test(args) -> int:
             f"{summary.within_3s:.2f}%"
         )
         lines.append("")
-        print(
-            f"distribution: within 1/2/3 sigma = "
-            f"{summary.within_1s:.2f}/{summary.within_2s:.2f}/{summary.within_3s:.2f} %"
-        )
 
     txt_path = Path(str(base) + ".txt")
     txt_path.write_text("\n".join(lines), encoding="utf-8")
     outputs.append(str(txt_path))
+    print("\n".join(lines))
 
     manifest = RunManifest(
         command="test",
@@ -577,18 +566,21 @@ def _full_scale_plan(config, strings, dist_strings, pairs) -> str:
     bits_needed = max(strings * DEFAULT_STRING_LENGTHS["pentads"], dist_strings * 1000)
     entries_bits = math.ceil(bits_needed / (0.9 * window))
     entries_pairs = math.ceil(pairs / window)
-    entries = max(entries_bits, entries_pairs)
-    roots = 2 * entries
+    # The pair table walks the schedule from its start again after the
+    # battery has cycled the digit cache, so its entries' roots count apart.
+    roots = 2 * (entries_bits + entries_pairs)
     # Root cost grows steeply with the degree, so time one uncached root
     # per degree the planned entries use and weight it by their number.
-    per_degree = Counter(task[2] for task in itertools.islice(_schedule_tasks(config), entries))
+    per_degree = Counter()
+    for entries in (entries_bits, entries_pairs):
+        per_degree.update(task[2] for task in itertools.islice(_schedule_tasks(config), entries))
     per_root = {}
     for degree in sorted(per_degree):
         t0 = time.perf_counter()
         _root_digits(10007, degree, config.precision_digits)
         per_root[degree] = time.perf_counter() - t0
     root_time = sum(2 * n * per_root[degree] for degree, n in per_degree.items())
-    est = root_time * 2.5  # digit compares and tallies ride along
+    est = root_time * 1.05  # digit compares add up to about 5% to the time of their roots
     return "\n".join(
         [
             "full-scale reproduction plan",
@@ -602,7 +594,7 @@ def _full_scale_plan(config, strings, dist_strings, pairs) -> str:
             f"  digit pairs       {pairs}",
             "",
             f"  bits needed       {bits_needed}",
-            f"  schedule entries  about {entries}",
+            f"  schedule entries  about {entries_bits} for the stream, {entries_pairs} for the pair table",
             f"  roots to extract  about {roots}",
             f"  measured root time at {config.precision_digits} digits, per degree:",
             *(
@@ -626,9 +618,9 @@ def _add_config_flags(parser):
     parser.add_argument("--config", help="flat key = value config file")
     parser.add_argument("--n-pairs", dest="n_pairs", type=int, help="prime pairs per set")
     parser.add_argument("--rounds", type=int, help="pairing rounds per block")
-    parser.add_argument("--precision", type=int, help="fractional digits computed per root")
-    parser.add_argument("--skip", type=int, help="leading fractional digits to skip (40..100)")
-    parser.add_argument("--block", type=int, help="starting prime block index")
+    parser.add_argument("--precision", dest="precision_digits", type=int, help="fractional digits per root")
+    parser.add_argument("--skip", dest="skip_digits", type=int, help="leading fractional digits to skip (40..100)")
+    parser.add_argument("--block", dest="block_index", type=int, help="starting prime block index")
     parser.add_argument("--workers", type=int, default=1, help="processes for digit extraction")
 
 

@@ -19,6 +19,7 @@ from itertools import islice
 import numpy as np
 
 from . import primes as _primes
+from ._checks import bit_array, digit_array, int_arg
 from .roots import DigitBlock, root_fractional_digits
 
 __all__ = [
@@ -77,22 +78,11 @@ class GeneratorConfig:
     degrees: tuple[int, ...] | None = None
 
     def __post_init__(self):
-        for name in ("n_pairs", "rounds", "precision_digits", "skip_digits", "block_index"):
-            value = getattr(self, name)
-            if not isinstance(value, int) or isinstance(value, bool):
-                raise ConfigError(f"{name} must be an int")
-        if self.n_pairs < 1:
-            raise ConfigError("n_pairs must be at least 1")
-        if self.rounds < 1:
-            raise ConfigError("rounds must be at least 1")
-        if self.rounds > self.n_pairs:
-            raise ConfigError("rounds must not exceed n_pairs")
-        if not 40 <= self.skip_digits <= 100:
-            raise ConfigError("skip_digits must lie in 40..100")
-        if self.precision_digits <= self.skip_digits:
-            raise ConfigError("precision_digits must exceed skip_digits")
-        if self.block_index < 0:
-            raise ConfigError("block_index must be nonnegative")
+        int_arg("n_pairs", self.n_pairs, 1, error=ConfigError)
+        int_arg("rounds", self.rounds, 1, self.n_pairs, error=ConfigError)
+        int_arg("skip_digits", self.skip_digits, 40, 100, error=ConfigError)
+        int_arg("precision_digits", self.precision_digits, self.skip_digits + 1, error=ConfigError)
+        int_arg("block_index", self.block_index, 0, error=ConfigError)
         if (self.c1 is None) != (self.c2 is None):
             raise ConfigError("c1 and c2 must be given together")
         if self.c1 is not None:
@@ -173,9 +163,19 @@ def _entry_windows(task) -> tuple[np.ndarray, np.ndarray]:
     )
 
 
-def _schedule_windows(config: GeneratorConfig):
-    """Digit-window pairs of every schedule entry of config, in stream order."""
-    return map(_entry_windows, _schedule_tasks(config))
+def _pair_windows(config: GeneratorConfig, max_pairs: int):
+    """Digit-window pairs of config's schedule in stream order, cut to max_pairs digit pairs in all."""
+    windows = map(_entry_windows, _schedule_tasks(config))
+    total = 0
+    while total < max_pairs:
+        a, b = next(windows, (None, None))
+        if a is None:
+            raise StreamExhausted(
+                f"override schedule supplies only {total} digit pairs, {max_pairs} requested"
+            )
+        take = min(a.size, max_pairs - total)
+        yield a[:take], b[:take]
+        total += take
 
 
 def schedule(config: GeneratorConfig) -> list[ScheduleEntry]:
@@ -185,21 +185,11 @@ def schedule(config: GeneratorConfig) -> list[ScheduleEntry]:
 
 def compare_digits(a: int, b: int) -> int | None:
     """1 if a > b, 0 if a < b, None when the digits tie."""
-    for name, v in (("a", a), ("b", b)):
-        if not isinstance(v, int) or isinstance(v, bool) or not 0 <= v <= 9:
-            raise ValueError(f"{name} must be a digit in 0..9")
+    int_arg("a", a, 0, 9)
+    int_arg("b", b, 0, 9)
     if a == b:
         return None
     return 1 if a > b else 0
-
-
-def _digit_pair(value) -> np.ndarray:
-    arr = value.digits if isinstance(value, DigitBlock) else np.asarray(value, dtype=np.uint8)
-    if arr.ndim != 1:
-        raise ValueError("digit windows must be one dimensional")
-    if arr.size and arr.max() > 9:
-        raise ValueError("digits must lie in 0..9")
-    return arr
 
 
 def operator_O(left, right) -> np.ndarray:
@@ -211,8 +201,7 @@ def operator_O(left, right) -> np.ndarray:
     if isinstance(left, DigitBlock) and isinstance(right, DigitBlock):
         if left.offset != right.offset:
             raise ValueError("digit windows must start at the same offset")
-    a = _digit_pair(left)
-    b = _digit_pair(right)
+    a, b = (digit_array(w.digits if isinstance(w, DigitBlock) else w) for w in (left, right))
     if a.size != b.size:
         raise ValueError("digit windows must have equal length")
     ne = a != b
@@ -222,12 +211,7 @@ def operator_O(left, right) -> np.ndarray:
 def concat(chunks) -> np.ndarray:
     """Concatenate bit sequences into one uint8 bit array."""
     parts = [np.asarray(c, dtype=np.uint8).ravel() for c in chunks]
-    if not parts:
-        return np.zeros(0, dtype=np.uint8)
-    out = np.concatenate(parts)
-    if out.size and out.max() > 1:
-        raise ValueError("bit sequences may only contain 0 and 1")
-    return out
+    return bit_array(np.concatenate(parts) if parts else [])
 
 
 def _entry_bits_packed(task):
@@ -258,10 +242,8 @@ class StreamCache:
 
     def prefix(self, n_bits: int, workers: int = 1) -> np.ndarray:
         """The first n_bits of the stream as a read-only uint8 view."""
-        if not isinstance(n_bits, int) or isinstance(n_bits, bool) or n_bits < 0:
-            raise ValueError("n_bits must be a nonnegative int")
-        if not isinstance(workers, int) or isinstance(workers, bool) or workers < 1:
-            raise ValueError("workers must be a positive int")
+        int_arg("n_bits", n_bits, 0)
+        int_arg("workers", workers, 1)
         with self._lock:
             while self._total < n_bits:
                 self._extend(n_bits - self._total, workers)
@@ -314,9 +296,7 @@ def generate_bits(config: GeneratorConfig, max_bits: int, workers: int = 1) -> n
     Deterministic in (config, max_bits): reruns and longer runs agree on
     their common prefix. max_bits must be positive.
     """
-    if not isinstance(max_bits, int) or isinstance(max_bits, bool) or max_bits < 1:
-        raise ValueError("max_bits must be a positive int")
-    return shared_stream(config).prefix(max_bits, workers)
+    return shared_stream(config).prefix(int_arg("max_bits", max_bits, 1), workers)
 
 
 def pair_stream(config: GeneratorConfig, max_pairs: int) -> np.ndarray:
@@ -325,20 +305,8 @@ def pair_stream(config: GeneratorConfig, max_pairs: int) -> np.ndarray:
     Tied pairs are included; they occupy a schedule position even though
     they emit no bit.
     """
-    if not isinstance(max_pairs, int) or isinstance(max_pairs, bool) or max_pairs < 0:
-        raise ValueError("max_pairs must be a nonnegative int")
-    if max_pairs == 0:
-        return np.zeros((0, 2), dtype=np.uint8)
-    parts = []
-    total = 0
-    for a, b in _schedule_windows(config):
-        parts.append(np.stack([a, b], axis=1))
-        total += a.size
-        if total >= max_pairs:
-            return np.concatenate(parts)[:max_pairs]
-    raise StreamExhausted(
-        f"override schedule supplies only {total} digit pairs, {max_pairs} requested"
-    )
+    pairs = _pair_windows(config, int_arg("max_pairs", max_pairs, 0))
+    return np.concatenate([np.zeros((0, 2), dtype=np.uint8)] + [np.stack(w, axis=1) for w in pairs])
 
 
 _NIBBLE_WEIGHTS = np.array([8, 4, 2, 1], dtype=np.int64)
@@ -355,10 +323,7 @@ def bits_to_decimal(bits) -> np.ndarray:
     Groups are read most significant bit first; values 10..15 are
     discarded, as is any trailing group shorter than 4 bits.
     """
-    arr = np.asarray(bits, dtype=np.uint8).ravel()
-    if arr.size and arr.max() > 1:
-        raise ValueError("bits may only contain 0 and 1")
-    values = _nibble_values(arr)
+    values = _nibble_values(bit_array(bits))
     return values[values <= 9].astype(np.uint8)
 
 
@@ -368,8 +333,7 @@ def digits_stream(config: GeneratorConfig, count: int, workers: int = 1):
     Returns (digits, bits_consumed) where bits_consumed is the smallest
     multiple of 4 whose decoding yields count digits.
     """
-    if not isinstance(count, int) or isinstance(count, bool) or count < 1:
-        raise ValueError("count must be a positive int")
+    int_arg("count", count, 1)
     cache = shared_stream(config)
     # 10 of 16 nibble values survive, so one digit costs 6.4 bits on average.
     est = max(64, math.ceil(count * 6.4) + 64)

@@ -1,6 +1,6 @@
 """Prime tables and the paired prime sets that drive the generator.
 
-Primes come from a segmented Eratosthenes sieve sized with the
+Primes come from an Eratosthenes sieve sized with the
 Rosser-Schoenfeld bound, so asking for the first n primes never
 over- or under-shoots by more than one sieve pass.
 """
@@ -13,9 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["PrimeTable", "PrimePairSets", "first_n_primes", "prime_pair_sets", "nth_prime", "is_prime"]
+from ._checks import int_arg
 
-_SEGMENT = 1 << 18
+__all__ = ["PrimeTable", "PrimePairSets", "first_n_primes", "prime_pair_sets", "nth_prime", "is_prime"]
 
 _table = np.zeros(0, dtype=np.int64)
 _table_lock = threading.Lock()
@@ -41,28 +41,11 @@ def _flat_sieve(limit: int) -> np.ndarray:
     return np.flatnonzero(mask).astype(np.int64)
 
 
-def _primes_below(limit: int) -> np.ndarray:
-    """All primes strictly below limit, sieving in fixed-size segments."""
-    root = math.isqrt(max(limit - 1, 0))
-    base = _flat_sieve(root + 1)
-    chunks = [base]
-    lo = root + 1
-    while lo < limit:
-        hi = min(lo + _SEGMENT, limit)
-        mask = np.ones(hi - lo, dtype=bool)
-        for p in base:
-            start = ((lo + p - 1) // p) * p
-            mask[start - lo :: p] = False
-        chunks.append((lo + np.flatnonzero(mask)).astype(np.int64))
-        lo = hi
-    return np.concatenate(chunks)
-
-
 def _ensure_table(n: int) -> np.ndarray:
     global _table
     with _table_lock:
         while _table.size < n:
-            _table = _primes_below(_upper_bound(max(n, 2 * _table.size, 64)))
+            _table = _flat_sieve(_upper_bound(max(n, 2 * _table.size, 64)))
         return _table
 
 
@@ -97,17 +80,13 @@ class PrimePairSets:
 
 def first_n_primes(n: int) -> PrimeTable:
     """The first n primes as a PrimeTable."""
-    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
-        raise ValueError("n must be a positive int")
-    table = _ensure_table(n)
+    table = _ensure_table(int_arg("n", n, 1))
     return PrimeTable(tuple(int(p) for p in table[:n]))
 
 
 def nth_prime(k: int) -> int:
     """The k-th prime, 1-based: nth_prime(1) == 2."""
-    if not isinstance(k, int) or isinstance(k, bool) or k < 1:
-        raise ValueError("k must be a positive int")
-    return int(_ensure_table(k)[k - 1])
+    return int(_ensure_table(int_arg("k", k, 1))[k - 1])
 
 
 def is_prime(n: int) -> bool:
@@ -123,11 +102,7 @@ def prime_pair_sets(n_pairs: int, block_index: int = 0) -> PrimePairSets:
     base is 2 * block_index * n_pairs, so successive blocks use fresh,
     strictly larger primes and never overlap.
     """
-    if not isinstance(n_pairs, int) or isinstance(n_pairs, bool) or n_pairs < 1:
-        raise ValueError("n_pairs must be a positive int")
-    if not isinstance(block_index, int) or isinstance(block_index, bool) or block_index < 0:
-        raise ValueError("block_index must be a nonnegative int")
-    base = 2 * block_index * n_pairs
+    base = 2 * int_arg("n_pairs", n_pairs, 1) * int_arg("block_index", block_index, 0)
     table = _ensure_table(base + 2 * n_pairs)
     c1 = tuple(int(p) for p in table[base : base + n_pairs])
     c2 = tuple(int(p) for p in table[base + n_pairs : base + 2 * n_pairs])

@@ -21,6 +21,8 @@ from decimal import MAX_EMAX, MIN_EMIN, ROUND_FLOOR, Context, Decimal, Inexact
 
 import numpy as np
 
+from ._checks import digit_array, int_arg
+
 try:
     import gmpy2
 
@@ -37,14 +39,8 @@ def int_nth_root(x: int, r: int) -> int:
     The result T satisfies T**r <= x < (T + 1)**r. gmpy2 does the heavy
     lifting when present; a pure integer Newton iteration is the fallback.
     """
-    if not isinstance(x, int) or isinstance(x, bool):
-        raise ValueError("x must be an int")
-    if not isinstance(r, int) or isinstance(r, bool):
-        raise ValueError("r must be an int")
-    if x < 0:
-        raise ValueError("x must be nonnegative")
-    if r < 1:
-        raise ValueError("r must be at least 1")
+    int_arg("x", x, 0)
+    int_arg("r", r, 1)
     if _HAVE_GMPY2:
         return int(gmpy2.iroot(gmpy2.mpz(x), r)[0])
     return _newton_nth_root(x, r)
@@ -168,17 +164,8 @@ def root_fractional_digits(p: int, r: int, first: int, count: int) -> np.ndarray
     a perfect r-th power, so the root is irrational and the expansion
     never terminates.
     """
-    for name, value in (("p", p), ("r", r), ("first", first), ("count", count)):
-        if not isinstance(value, int) or isinstance(value, bool):
-            raise ValueError(f"{name} must be an int")
-    if p < 2:
-        raise ValueError("p must be at least 2")
-    if r < 2:
-        raise ValueError("r must be at least 2")
-    if first < 1:
-        raise ValueError("first must be at least 1")
-    if count < 0:
-        raise ValueError("count must be nonnegative")
+    for name, value, low in (("p", p, 2), ("r", r, 2), ("first", first, 1), ("count", count, 0)):
+        int_arg(name, value, low)
     whole = int_nth_root(p, r)
     if whole ** r == p:
         raise ValueError(f"{p} is a perfect power of degree {r}; its root has no fractional digits")
@@ -198,16 +185,8 @@ class DigitBlock:
     offset: int = 1
 
     def __post_init__(self):
-        arr = np.asarray(self.digits, dtype=np.uint8)
-        if arr.ndim != 1:
-            raise ValueError("digits must be one dimensional")
-        if arr.size and arr.max() > 9:
-            raise ValueError("digits must lie in 0..9")
-        if not isinstance(self.offset, int) or isinstance(self.offset, bool):
-            raise ValueError("offset must be an int")
-        if self.offset < 1:
-            raise ValueError("offset must be at least 1")
-        self.digits = arr
+        self.digits = digit_array(self.digits)
+        int_arg("offset", self.offset, 1)
 
     def __len__(self) -> int:
         return int(self.digits.size)

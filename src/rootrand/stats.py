@@ -14,7 +14,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .generator import GeneratorConfig, StreamExhausted, _schedule_windows, shared_stream
+from ._checks import bit_array, int_arg
+from .generator import GeneratorConfig, _pair_windows, shared_stream
 
 __all__ = [
     "TestReport",
@@ -130,8 +131,7 @@ def _critical_cached(dof: int, alpha: float) -> float:
 
 def chi_square_critical(dof: int, alpha: float = 0.05) -> float:
     """Upper critical value: the x with P(chi2_dof <= x) = 1 - alpha."""
-    if not isinstance(dof, int) or isinstance(dof, bool) or dof < 1:
-        raise ValueError("dof must be a positive int")
+    int_arg("dof", dof, 1)
     alpha = float(alpha)
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must lie strictly between 0 and 1")
@@ -156,20 +156,13 @@ class TestReport:
     expected: float
 
 
-def _bit_array(bits) -> np.ndarray:
-    arr = np.asarray(bits, dtype=np.uint8).ravel()
-    if arr.size and arr.max() > 1:
-        raise ValueError("bits may only contain 0 and 1")
-    return arr
-
-
 def transitions_test(bits, alpha: float = 0.05) -> TestReport:
     """Chi-square test on the four transition counts of adjacent bits.
 
     A string of length L has L - 1 overlapping transitions 00, 01, 10,
     11, each expected (L - 1) / 4 times. 3 degrees of freedom.
     """
-    arr = _bit_array(bits)
+    arr = bit_array(bits)
     if arr.size < 2:
         raise ValueError("transitions need at least 2 bits")
     codes = (arr[:-1] << 1) | arr[1:]
@@ -201,7 +194,7 @@ def ngram_block_test(bits, k: int, alpha: float = 0.05) -> TestReport:
     """
     if k not in _NGRAM_NAMES:
         raise ValueError("k must be one of 2, 3, 4, 5")
-    arr = _bit_array(bits)
+    arr = bit_array(bits)
     patterns = 1 << k
     if arr.size < k * patterns:
         raise ValueError(f"need at least {k * patterns} bits for k={k}")
@@ -248,6 +241,14 @@ DEFAULT_STRING_LENGTHS = {
 # batch runs over one configuration's stream
 
 
+def _strings(config: GeneratorConfig, n_strings: int, string_length: int, workers: int) -> np.ndarray:
+    """The stream's first n_strings consecutive disjoint slices of string_length bits, one per row."""
+    int_arg("n_strings", n_strings, 1)
+    int_arg("string_length", string_length, 1)
+    bits = shared_stream(config).prefix(n_strings * string_length, workers)
+    return bits.reshape(n_strings, string_length)
+
+
 @dataclass(frozen=True)
 class BatchResult:
     """Pass/fail tally of one test over consecutive stream slices."""
@@ -274,16 +275,11 @@ def batch_test(
     """Run one named test on n_strings consecutive disjoint stream slices."""
     if test not in TEST_RUNNERS:
         raise ValueError(f"unknown test {test!r}; pick one of {sorted(TEST_RUNNERS)}")
-    if not isinstance(n_strings, int) or isinstance(n_strings, bool) or n_strings < 1:
-        raise ValueError("n_strings must be a positive int")
-    if not isinstance(string_length, int) or isinstance(string_length, bool) or string_length < 1:
-        raise ValueError("string_length must be a positive int")
     runner = TEST_RUNNERS[test]
-    bits = shared_stream(config).prefix(n_strings * string_length, workers)
     reports = []
     passed = 0
-    for i in range(n_strings):
-        report = runner(bits[i * string_length : (i + 1) * string_length], alpha)
+    for string in _strings(config, n_strings, string_length, workers):
+        report = runner(string, alpha)
         passed += report.passed
         if keep_reports:
             reports.append(report)
@@ -334,12 +330,7 @@ def ones_count_distribution(
     workers: int = 1,
 ) -> DistributionSummary:
     """Tally ones per stream slice and report the within-k-sigma percentages."""
-    if not isinstance(n_strings, int) or isinstance(n_strings, bool) or n_strings < 1:
-        raise ValueError("n_strings must be a positive int")
-    if not isinstance(string_length, int) or isinstance(string_length, bool) or string_length < 1:
-        raise ValueError("string_length must be a positive int")
-    bits = shared_stream(config).prefix(n_strings * string_length, workers)
-    counts = bits[: n_strings * string_length].reshape(n_strings, string_length).sum(axis=1)
+    counts = _strings(config, n_strings, string_length, workers).sum(axis=1)
     w1, w2, w3 = _within_percents(counts, string_length)
     return DistributionSummary(
         n_strings=n_strings,
@@ -375,19 +366,9 @@ def pair_frequency_table(config: GeneratorConfig, max_pairs: int) -> PairTally:
     Streams one schedule entry at a time, so the pair sequence is never
     materialized; memory stays flat at any scale.
     """
-    if not isinstance(max_pairs, int) or isinstance(max_pairs, bool) or max_pairs < 1:
-        raise ValueError("max_pairs must be a positive int")
     table = np.zeros(100, dtype=np.int64)
-    total = 0
-    for a, b in _schedule_windows(config):
-        take = min(a.size, max_pairs - total)
-        codes = a[:take].astype(np.int64) * 10 + b[:take]
-        table += np.bincount(codes, minlength=100)
-        total += take
-        if total >= max_pairs:
-            tally = PairTally(counts=table.reshape(10, 10), total=total)
-            tally.counts.setflags(write=False)
-            return tally
-    raise StreamExhausted(
-        f"override schedule supplies only {total} digit pairs, {max_pairs} requested"
-    )
+    for a, b in _pair_windows(config, int_arg("max_pairs", max_pairs, 1)):
+        table += np.bincount(a.astype(np.int64) * 10 + b, minlength=100)
+    tally = PairTally(counts=table.reshape(10, 10), total=max_pairs)
+    tally.counts.setflags(write=False)
+    return tally

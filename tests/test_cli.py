@@ -1,4 +1,6 @@
 import csv
+import hashlib
+import math
 import re
 import subprocess
 import sys
@@ -117,6 +119,12 @@ def test_cli_error_paths(tmp_path, capsys):
     bad.write_text("n_pairs = 1\nmystery = 4\n")
     assert main(["gen-bits", "--config", str(bad), "--count", "3", "--out", str(out)]) == 2
     assert "mystery" in capsys.readouterr().err
+    malformed = tmp_path / "malformed.cfg"
+    malformed.write_text("rounds = 1\nn_pairs = abc\n")
+    assert main(["gen-bits", "--config", str(malformed), "--count", "3", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert f"{malformed}:2:" in err
+    assert "n_pairs" in err and "'abc'" in err
     with pytest.raises(SystemExit):
         main(["gen-bits", "--out", str(out)])  # --count is required
     with pytest.raises(SystemExit):
@@ -204,6 +212,14 @@ def test_repro_full_scale_plan(tmp_path):
     plan = (desk_dir / "plan.txt").read_text()
     assert re.findall(r"^ +r=(\d+) ", plan, re.M) == ["2", "3", "5", "7"]
     assert all(re.search(rf"^ +r={d} +\d+\.\d ms  x \d+ roots$", plan, re.M) for d in (2, 3, 5, 7))
+    # The stream's entries and the pair table's are extracted separately:
+    # 1000 pentad strings or 100000 distribution strings of bits at 0.9 bits
+    # per compared digit, and 50M digit pairs, over a 19950-digit window.
+    roots = int(re.search(r"roots to extract +about (\d+)$", plan, re.M).group(1))
+    entries_bits = math.ceil(max(1000 * 64_000, 100_000 * 1000) / (0.9 * 19_950))
+    entries_pairs = math.ceil(50_000_000 / 19_950)
+    assert roots == 2 * (entries_bits + entries_pairs)
+    assert sum(int(n) for n in re.findall(r"ms  x (\d+) roots$", plan, re.M)) == roots
 
 
 def test_module_entrypoint_rerun(worked_cfg_file, tmp_path):
@@ -239,3 +255,32 @@ def test_manifest_round_trip():
     parsed = RunManifest.from_text(manifest.to_text())
     assert parsed == manifest
     assert parsed.to_text() == manifest.to_text()
+
+
+# SHA-256 of every data file of two small runs, recorded before the argument
+# checks, the prime sieve and the pair walk were each merged into one place.
+PINNED_OUTPUTS = {
+    ("test", "report.csv"): "53b623644d54dc54506e7e2e2a0eda9363eea5157ef838ad0c37bb7f28c8746d",
+    ("test", "report.txt"): "9c3e4b45d1f3c1a19e1cefdf7880a2d3907b1e631e6748129733e8e678658fe0",
+    ("test", "report_distribution.csv"): "bbaf4a932dfc03c21aa2b169c5745e60768917f2df8e2eb297b27e435706acba",
+    ("test", "report_pairs.csv"): "d587dc2109201c9cda92c9f273264d13c6b33e016f4b63be670af49cbaaea233",
+    ("test", "report_strings.csv"): "9aa20d0fd52e4c29f3807325af65a6090d6ddb56a7db38ce412ef236b833fe2f",
+    ("gen-digits", "digits.txt"): "cc07e8f792e7efab4635068df427db36ca238398911a688ec0fca2f57715f65b",
+}
+
+
+def test_data_files_pinned(tmp_path):
+    runs = {
+        "test": ["test", "--suite", "all", "--precision", "300", "--strings", "2", "--pairs", "20000",
+                 "--out", str(tmp_path / "test" / "report.csv")],
+        "gen-digits": ["gen-digits", "--count", "500", "--out", str(tmp_path / "gen-digits" / "digits.txt")],
+    }
+    for name, argv in runs.items():
+        (tmp_path / name).mkdir()
+        assert main(argv) == 0
+    written = {
+        (path.parent.name, path.name): hashlib.sha256(path.read_bytes()).hexdigest()
+        for path in tmp_path.glob("*/*")
+        if path.suffix != ".manifest"  # manifests hold timings
+    }
+    assert written == PINNED_OUTPUTS
