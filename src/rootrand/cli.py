@@ -35,16 +35,16 @@ from .generator import (
     GeneratorConfig,
     StreamCache,
     StreamExhausted,
-    _schedule_tasks,
+    _stream_entries,
     digits_stream,
     generate_bits,
 )
 from .roots import _root_digits, int_nth_root
 from .stats import (
     DEFAULT_STRING_LENGTHS,
+    _chi_square_report,
     batch_test,
     chi_square_critical,
-    chi_square_statistic,
     ones_count_distribution,
     pair_frequency_table,
 )
@@ -189,11 +189,13 @@ class RunManifest:
 
 # ---------------------------------------------------------------------------
 # subcommands
+#
+# Each subcommand takes the parsed arguments and the resolved config, writes
+# its data files and returns what main records in the run's manifest:
+# (manifest data path, status, options, counts, outputs).
 
 
-def cmd_gen_bits(args) -> int:
-    config = resolve_config(args)
-    start = time.perf_counter()
+def cmd_gen_bits(args, config):
     bits = generate_bits(config, args.count, args.workers)
     out = Path(args.out)
     if args.format == "ascii":
@@ -201,38 +203,18 @@ def cmd_gen_bits(args) -> int:
     else:
         data = np.packbits(bits).tobytes()
     out.write_bytes(data)
-    manifest = RunManifest(
-        command="gen-bits",
-        status="ok",
-        config=config,
-        options={"count": str(args.count), "format": args.format},
-        counts={"bits": args.count, "bytes_written": len(data)},
-        outputs=(str(out),),
-        timing_seconds=time.perf_counter() - start,
-    )
-    manifest.write(out)
     print(f"wrote {args.count} bits ({args.format}) to {out}")
-    return 0
+    return (out, "ok", {"count": str(args.count), "format": args.format},
+            {"bits": args.count, "bytes_written": len(data)}, [str(out)])
 
 
-def cmd_gen_digits(args) -> int:
-    config = resolve_config(args)
-    start = time.perf_counter()
+def cmd_gen_digits(args, config):
     digits, consumed = digits_stream(config, args.count, args.workers)
     out = Path(args.out)
     out.write_bytes((digits + ord("0")).astype(np.uint8).tobytes() + b"\n")
-    manifest = RunManifest(
-        command="gen-digits",
-        status="ok",
-        config=config,
-        options={"count": str(args.count)},
-        counts={"digits": args.count, "bits_consumed": consumed},
-        outputs=(str(out),),
-        timing_seconds=time.perf_counter() - start,
-    )
-    manifest.write(out)
     print(f"wrote {args.count} digits to {out} ({consumed} bits consumed)")
-    return 0
+    return (out, "ok", {"count": str(args.count)},
+            {"digits": args.count, "bits_consumed": consumed}, [str(out)])
 
 
 _CHI_SUITES = ("transitions", "dyads", "triads", "tetrads", "pentads")
@@ -260,9 +242,7 @@ def _write_pair_table(path: Path, tally) -> np.ndarray:
     return freq
 
 
-def cmd_test(args) -> int:
-    config = resolve_config(args)
-    start = time.perf_counter()
+def cmd_test(args, config):
     run_chi = [s for s in _CHI_SUITES if args.suite in (s, "all")]
     run_pairs = args.suite in ("pairs", "all")
     run_dist = args.suite in ("distribution", "all")
@@ -347,19 +327,9 @@ def cmd_test(args) -> int:
     txt_path.write_text("\n".join(lines), encoding="utf-8")
     outputs.append(str(txt_path))
     print("\n".join(lines))
-
-    manifest = RunManifest(
-        command="test",
-        status="ok",
-        config=config,
-        options={"suite": args.suite, "strings": str(args.strings), "alpha": str(args.alpha),
-                 "pairs": str(args.pairs)},
-        counts={"suites_run": len(run_chi) + int(run_pairs) + int(run_dist)},
-        outputs=tuple(outputs),
-        timing_seconds=time.perf_counter() - start,
-    )
-    manifest.write(out)
-    return 0
+    options = {"suite": args.suite, "strings": str(args.strings), "alpha": str(args.alpha),
+               "pairs": str(args.pairs)}
+    return out, "ok", options, {"suites_run": len(run_chi) + int(run_pairs) + int(run_dist)}, outputs
 
 
 def _binomial_band(n: int, p: float = 0.05) -> tuple[int, int]:
@@ -408,20 +378,15 @@ def _determinism_check(config, workers):
 
 def _digit_uniformity(config, segments, segment_len, alpha, workers):
     digits, _ = digits_stream(config, segments * segment_len, workers)
-    critical = chi_square_critical(9, alpha)
-    statistics = []
-    for s in range(segments):
-        seg = digits[s * segment_len : (s + 1) * segment_len]
-        statistics.append(chi_square_statistic(np.bincount(seg, minlength=10), segment_len / 10.0))
-    passed = sum(stat <= critical for stat in statistics)
-    return passed, critical, statistics
+    return [
+        _chi_square_report("digits", np.bincount(seg, minlength=10), segment_len / 10.0, alpha)
+        for seg in digits.reshape(segments, segment_len)
+    ]
 
 
-def cmd_repro(args) -> int:
+def cmd_repro(args, config):
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    start = time.perf_counter()
-    config = resolve_config(args)
     full_scale = args.scale == "paper"
 
     strings = args.strings if args.strings is not None else 1000
@@ -433,19 +398,11 @@ def cmd_repro(args) -> int:
         plan = _full_scale_plan(config, strings, dist_strings, pairs)
         plan_path = out_dir / "plan.txt"
         plan_path.write_text(plan, encoding="utf-8")
-        manifest = RunManifest(
-            command="repro",
-            status="plan-only",
-            config=config,
-            options={"scale": args.scale, "yes": "false"},
-            counts={"strings": strings, "dist_strings": dist_strings, "pairs": pairs},
-            outputs=(str(plan_path),),
-            timing_seconds=time.perf_counter() - start,
-        )
-        manifest.write(out_dir / "repro")
         print(plan)
         print(f"plan written to {plan_path}; rerun with --yes to execute")
-        return 0
+        options = {"scale": args.scale, "yes": "false"}
+        counts = {"strings": strings, "dist_strings": dist_strings, "pairs": pairs}
+        return out_dir / "repro", "plan-only", options, counts, [str(plan_path)]
 
     checks: list[tuple[str, bool, str]] = []
     outputs: list[str] = []
@@ -513,17 +470,18 @@ def cmd_repro(args) -> int:
     checks.append(("pair swap symmetry", gap <= 0.001, f"largest |f(i,j) - f(j,i)| = {gap:.5f}"))
 
     seg_len = 100_000
-    passed, critical, statistics = _digit_uniformity(config, segments, seg_len, args.alpha, args.workers)
+    reports = _digit_uniformity(config, segments, seg_len, args.alpha, args.workers)
     seg_path = out_dir / "digit_segments.csv"
     _write_csv(
         seg_path,
         ["segment", "statistic", "critical", "passed"],
         [
-            (i, f"{stat:.4f}", f"{critical:.7f}", int(stat <= critical))
-            for i, stat in enumerate(statistics)
+            (i, f"{rep.statistic:.4f}", f"{rep.critical:.7f}", int(rep.passed))
+            for i, rep in enumerate(reports)
         ],
     )
     outputs.append(str(seg_path))
+    passed = sum(rep.passed for rep in reports)
     need = math.ceil(0.95 * segments)
     checks.append(
         ("decimal digit uniformity", passed >= need,
@@ -541,24 +499,16 @@ def cmd_repro(args) -> int:
     outputs.append(str(summary_path))
     print("\n".join(lines))
 
-    manifest = RunManifest(
-        command="repro",
-        status="ok" if all_ok else "checks-failed",
-        config=config,
-        options={"scale": args.scale, "yes": str(bool(args.yes)).lower()},
-        counts={
-            "strings": strings,
-            "dist_strings": dist_strings,
-            "pairs": pairs,
-            "segments": segments,
-            "checks_passed": sum(ok for _, ok, _ in checks),
-            "checks_total": len(checks),
-        },
-        outputs=tuple(outputs),
-        timing_seconds=time.perf_counter() - start,
-    )
-    manifest.write(out_dir / "repro")
-    return 0 if all_ok else 1
+    counts = {
+        "strings": strings,
+        "dist_strings": dist_strings,
+        "pairs": pairs,
+        "segments": segments,
+        "checks_passed": sum(ok for _, ok, _ in checks),
+        "checks_total": len(checks),
+    }
+    options = {"scale": args.scale, "yes": str(bool(args.yes)).lower()}
+    return out_dir / "repro", "ok" if all_ok else "checks-failed", options, counts, outputs
 
 
 def _full_scale_plan(config, strings, dist_strings, pairs) -> str:
@@ -573,7 +523,7 @@ def _full_scale_plan(config, strings, dist_strings, pairs) -> str:
     # per degree the planned entries use and weight it by their number.
     per_degree = Counter()
     for entries in (entries_bits, entries_pairs):
-        per_degree.update(task[2] for task in itertools.islice(_schedule_tasks(config), entries))
+        per_degree.update(e.root_degree for e in itertools.islice(_stream_entries(config), entries))
     per_root = {}
     for degree in sorted(per_degree):
         t0 = time.perf_counter()
@@ -675,11 +625,17 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    start = time.perf_counter()
     try:
-        return args.func(args)
+        config = resolve_config(args)
+        path, status, options, counts, outputs = args.func(args, config)
+        RunManifest(args.command, status, config, options, counts, tuple(outputs),
+                    timing_seconds=time.perf_counter() - start).write(path)
     except (ConfigError, StreamExhausted, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    # A repro check that fails is a result, not an error: its files are written.
+    return 1 if status == "checks-failed" else 0
 
 
 if __name__ == "__main__":

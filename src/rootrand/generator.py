@@ -14,6 +14,7 @@ import math
 import threading
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from functools import partial
 from itertools import islice
 
 import numpy as np
@@ -138,34 +139,31 @@ def _block_entries(config: GeneratorConfig, block: int):
             yield ScheduleEntry(j, i, degree, c1[i - 1], c2[(i - 1 - j) % n])
 
 
-def _schedule_tasks(config: GeneratorConfig):
-    """(left, right, degree, first, count) for every schedule entry, in stream order.
+def _stream_entries(config: GeneratorConfig):
+    """Every schedule entry in stream order, block after block.
 
-    Plain-int tuples, so worker processes receive them cheaply. Configs
-    with c1/c2 overrides stop after their one block.
+    Configs with c1/c2 overrides stop after their one block.
     """
-    first, count = config.skip_digits + 1, config.window
     block = config.block_index
     while True:
-        for e in _block_entries(config, block):
-            yield e.left, e.right, e.root_degree, first, count
+        yield from _block_entries(config, block)
         if config.c1 is not None:
             return
         block += 1
 
 
-def _entry_windows(task) -> tuple[np.ndarray, np.ndarray]:
+def _entry_windows(config: GeneratorConfig, e: ScheduleEntry) -> tuple[np.ndarray, np.ndarray]:
     """The aligned digit windows of one schedule entry's two roots."""
-    left, right, degree, first, count = task
+    first, count = config.skip_digits + 1, config.window
     return (
-        root_fractional_digits(left, degree, first, count),
-        root_fractional_digits(right, degree, first, count),
+        root_fractional_digits(e.left, e.root_degree, first, count),
+        root_fractional_digits(e.right, e.root_degree, first, count),
     )
 
 
 def _pair_windows(config: GeneratorConfig, max_pairs: int):
     """Digit-window pairs of config's schedule in stream order, cut to max_pairs digit pairs in all."""
-    windows = map(_entry_windows, _schedule_tasks(config))
+    windows = map(partial(_entry_windows, config), _stream_entries(config))
     total = 0
     while total < max_pairs:
         a, b = next(windows, (None, None))
@@ -192,6 +190,12 @@ def compare_digits(a: int, b: int) -> int | None:
     return 1 if a > b else 0
 
 
+def _compare(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    # operator_O on windows already known to be aligned uint8 digits.
+    ne = a != b
+    return (a[ne] > b[ne]).astype(np.uint8)
+
+
 def operator_O(left, right) -> np.ndarray:
     """Positionwise digit comparison of two aligned windows.
 
@@ -204,8 +208,7 @@ def operator_O(left, right) -> np.ndarray:
     a, b = (digit_array(w.digits if isinstance(w, DigitBlock) else w) for w in (left, right))
     if a.size != b.size:
         raise ValueError("digit windows must have equal length")
-    ne = a != b
-    return (a[ne] > b[ne]).astype(np.uint8)
+    return _compare(a, b)
 
 
 def concat(chunks) -> np.ndarray:
@@ -214,10 +217,9 @@ def concat(chunks) -> np.ndarray:
     return bit_array(np.concatenate(parts) if parts else [])
 
 
-def _entry_bits_packed(task):
-    # Packed bytes cross the process boundary 8x smaller.
-    bits = operator_O(*_entry_windows(task))
-    return np.packbits(bits).tobytes(), int(bits.size)
+def _entry_bits(config: GeneratorConfig, e: ScheduleEntry) -> np.ndarray:
+    """The bits one schedule entry emits."""
+    return _compare(*_entry_windows(config, e))
 
 
 class StreamCache:
@@ -231,7 +233,7 @@ class StreamCache:
 
     def __init__(self, config: GeneratorConfig):
         self.config = config
-        self._tasks = _schedule_tasks(config)
+        self._entries = _stream_entries(config)
         self._chunks: list[np.ndarray] = []
         self._buf = np.zeros(0, dtype=np.uint8)
         self._total = 0
@@ -257,24 +259,21 @@ class StreamCache:
         # Ties run near 10 percent, so 0.88 bits per compared digit
         # slightly overshoots and one wave usually suffices.
         est = math.ceil(deficit / (0.88 * self.config.window))
-        tasks = list(islice(self._tasks, max(1, min(1024, est))))
-        if not tasks:
+        entries = list(islice(self._entries, max(1, min(1024, est))))
+        if not entries:
             raise StreamExhausted(
                 f"override schedule exhausted after {self._total} bits; "
                 "configs with explicit c1/c2 do not advance to new blocks"
             )
-        if workers > 1 and len(tasks) > 1:
-            with ProcessPoolExecutor(max_workers=min(workers, len(tasks))) as pool:
-                chunk = max(1, len(tasks) // (workers * 4))
-                for blob, nbits in pool.map(_entry_bits_packed, tasks, chunksize=chunk):
-                    bits = np.unpackbits(np.frombuffer(blob, dtype=np.uint8), count=nbits)
-                    self._chunks.append(bits)
-                    self._total += nbits
+        entry_bits = partial(_entry_bits, self.config)
+        if workers > 1 and len(entries) > 1:
+            with ProcessPoolExecutor(max_workers=min(workers, len(entries))) as pool:
+                chunk = max(1, len(entries) // (workers * 4))
+                chunks = list(pool.map(entry_bits, entries, chunksize=chunk))
         else:
-            for task in tasks:
-                bits = operator_O(*_entry_windows(task))
-                self._chunks.append(bits)
-                self._total += bits.size
+            chunks = list(map(entry_bits, entries))
+        self._chunks.extend(chunks)
+        self._total += sum(bits.size for bits in chunks)
 
 
 _shared: dict[GeneratorConfig, StreamCache] = {}
@@ -309,12 +308,14 @@ def pair_stream(config: GeneratorConfig, max_pairs: int) -> np.ndarray:
     return np.concatenate([np.zeros((0, 2), dtype=np.uint8)] + [np.stack(w, axis=1) for w in pairs])
 
 
-_NIBBLE_WEIGHTS = np.array([8, 4, 2, 1], dtype=np.int64)
+def _block_values(bits: np.ndarray, k: int) -> np.ndarray:
+    """Values of the non-overlapping k-bit blocks of bits, most significant bit first.
 
-
-def _nibble_values(bits: np.ndarray) -> np.ndarray:
-    groups = bits.size // 4
-    return bits[: groups * 4].reshape(groups, 4) @ _NIBBLE_WEIGHTS
+    A trailing block shorter than k bits is dropped.
+    """
+    blocks = bits.size // k
+    weights = 1 << np.arange(k - 1, -1, -1, dtype=np.int64)
+    return bits[: blocks * k].reshape(blocks, k) @ weights
 
 
 def bits_to_decimal(bits) -> np.ndarray:
@@ -323,7 +324,7 @@ def bits_to_decimal(bits) -> np.ndarray:
     Groups are read most significant bit first; values 10..15 are
     discarded, as is any trailing group shorter than 4 bits.
     """
-    values = _nibble_values(bit_array(bits))
+    values = _block_values(bit_array(bits), 4)
     return values[values <= 9].astype(np.uint8)
 
 
@@ -339,7 +340,7 @@ def digits_stream(config: GeneratorConfig, count: int, workers: int = 1):
     est = max(64, math.ceil(count * 6.4) + 64)
     while True:
         est -= est % 4
-        values = _nibble_values(cache.prefix(est, workers))
+        values = _block_values(cache.prefix(est, workers), 4)
         kept = np.flatnonzero(values <= 9)
         if kept.size >= count:
             return values[kept[:count]].astype(np.uint8), 4 * (int(kept[count - 1]) + 1)

@@ -15,7 +15,7 @@ from functools import lru_cache
 import numpy as np
 
 from ._checks import bit_array, int_arg
-from .generator import GeneratorConfig, _pair_windows, shared_stream
+from .generator import GeneratorConfig, _block_values, _pair_windows, shared_stream
 
 __all__ = [
     "TestReport",
@@ -156,6 +156,23 @@ class TestReport:
     expected: float
 
 
+def _chi_square_report(test: str, observed: np.ndarray, expected: float, alpha: float) -> TestReport:
+    """The verdict on counts over len(observed) categories against a flat expectation."""
+    statistic = chi_square_statistic(observed, expected)
+    dof = observed.size - 1
+    critical = chi_square_critical(dof, alpha)
+    return TestReport(
+        test=test,
+        statistic=statistic,
+        critical=critical,
+        dof=dof,
+        alpha=alpha,
+        passed=statistic <= critical,
+        observed=tuple(int(c) for c in observed),
+        expected=expected,
+    )
+
+
 def transitions_test(bits, alpha: float = 0.05) -> TestReport:
     """Chi-square test on the four transition counts of adjacent bits.
 
@@ -167,19 +184,7 @@ def transitions_test(bits, alpha: float = 0.05) -> TestReport:
         raise ValueError("transitions need at least 2 bits")
     codes = (arr[:-1] << 1) | arr[1:]
     observed = np.bincount(codes, minlength=4)
-    expected = (arr.size - 1) / 4.0
-    statistic = chi_square_statistic(observed, expected)
-    critical = chi_square_critical(3, alpha)
-    return TestReport(
-        test="transitions",
-        statistic=statistic,
-        critical=critical,
-        dof=3,
-        alpha=alpha,
-        passed=statistic <= critical,
-        observed=tuple(int(c) for c in observed),
-        expected=expected,
-    )
+    return _chi_square_report("transitions", observed, (arr.size - 1) / 4.0, alpha)
 
 
 _NGRAM_NAMES = {2: "dyads", 3: "triads", 4: "tetrads", 5: "pentads"}
@@ -198,24 +203,8 @@ def ngram_block_test(bits, k: int, alpha: float = 0.05) -> TestReport:
     patterns = 1 << k
     if arr.size < k * patterns:
         raise ValueError(f"need at least {k * patterns} bits for k={k}")
-    blocks = arr.size // k
-    weights = (1 << np.arange(k - 1, -1, -1)).astype(np.int64)
-    values = arr[: blocks * k].reshape(blocks, k) @ weights
-    observed = np.bincount(values, minlength=patterns)
-    expected = blocks / patterns
-    statistic = chi_square_statistic(observed, expected)
-    dof = patterns - 1
-    critical = chi_square_critical(dof, alpha)
-    return TestReport(
-        test=_NGRAM_NAMES[k],
-        statistic=statistic,
-        critical=critical,
-        dof=dof,
-        alpha=alpha,
-        passed=statistic <= critical,
-        observed=tuple(int(c) for c in observed),
-        expected=expected,
-    )
+    observed = np.bincount(_block_values(arr, k), minlength=patterns)
+    return _chi_square_report(_NGRAM_NAMES[k], observed, (arr.size // k) / patterns, alpha)
 
 
 TEST_RUNNERS = {

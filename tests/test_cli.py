@@ -125,6 +125,12 @@ def test_cli_error_paths(tmp_path, capsys):
     err = capsys.readouterr().err
     assert f"{malformed}:2:" in err
     assert "n_pairs" in err and "'abc'" in err
+    # A data file that cannot be written is an error, and no manifest follows it.
+    missing = tmp_path / "missing" / "x.txt"
+    for argv in (["gen-bits", "--count", "3"], ["test", "--suite", "dyads", "--strings", "1"]):
+        assert main(argv + ["--precision", "300", "--out", str(missing)]) == 2
+        assert "error:" in capsys.readouterr().err
+    assert not list(tmp_path.rglob("*.manifest"))
     with pytest.raises(SystemExit):
         main(["gen-bits", "--out", str(out)])  # --count is required
     with pytest.raises(SystemExit):
@@ -257,8 +263,11 @@ def test_manifest_round_trip():
     assert parsed.to_text() == manifest.to_text()
 
 
-# SHA-256 of every data file of two small runs, recorded before the argument
-# checks, the prime sieve and the pair walk were each merged into one place.
+# SHA-256 of every data file of four small runs. The test and gen-digits
+# digests were recorded before the argument checks, the prime sieve and the
+# pair walk were each merged into one place; the gen-bits (worker pool) and
+# repro digests before the manifest build, the schedule walk, the stream
+# extension, the chi-square verdict and the k-bit decoder were.
 PINNED_OUTPUTS = {
     ("test", "report.csv"): "53b623644d54dc54506e7e2e2a0eda9363eea5157ef838ad0c37bb7f28c8746d",
     ("test", "report.txt"): "9c3e4b45d1f3c1a19e1cefdf7880a2d3907b1e631e6748129733e8e678658fe0",
@@ -266,6 +275,12 @@ PINNED_OUTPUTS = {
     ("test", "report_pairs.csv"): "d587dc2109201c9cda92c9f273264d13c6b33e016f4b63be670af49cbaaea233",
     ("test", "report_strings.csv"): "9aa20d0fd52e4c29f3807325af65a6090d6ddb56a7db38ce412ef236b833fe2f",
     ("gen-digits", "digits.txt"): "cc07e8f792e7efab4635068df427db36ca238398911a688ec0fca2f57715f65b",
+    ("gen-bits", "bits.bin"): "389a86fc6abff21e4630d608c6ff0493d99c9dc6746595ab6525d6a0d8cb26f6",
+    ("repro", "digit_segments.csv"): "99e64d832f66119f44756362828ae96e801483ce26bbb5ff0224ec13681141f0",
+    ("repro", "table_battery.csv"): "3f9e3595cd0b826b6138a88784559e847f05c0d2a37c39054c2f900dd3c90897",
+    ("repro", "table_distribution.csv"): "613b80a82dafc4abcc0fd002ca952f3e45c9b11f81c6354d8c7dafae255709dc",
+    ("repro", "table_pairs.csv"): "d587dc2109201c9cda92c9f273264d13c6b33e016f4b63be670af49cbaaea233",
+    ("repro", "summary.txt"): "fc3c3a4d578ee1e0cf5346c4935f440807f1886aff01c1479c48699ad80c119e",
 }
 
 
@@ -274,10 +289,18 @@ def test_data_files_pinned(tmp_path):
         "test": ["test", "--suite", "all", "--precision", "300", "--strings", "2", "--pairs", "20000",
                  "--out", str(tmp_path / "test" / "report.csv")],
         "gen-digits": ["gen-digits", "--count", "500", "--out", str(tmp_path / "gen-digits" / "digits.txt")],
+        "gen-bits": ["gen-bits", "--n-pairs", "4", "--rounds", "4", "--precision", "600", "--count", "7000",
+                     "--format", "packed", "--workers", "2", "--out", str(tmp_path / "gen-bits" / "bits.bin")],
+        "repro": ["repro", "--precision", "300", "--strings", "20", "--dist-strings", "200",
+                  "--pairs", "20000", "--segments", "2", "--out", str(tmp_path / "repro")],
     }
     for name, argv in runs.items():
         (tmp_path / name).mkdir()
-        assert main(argv) == 0
+        # The repro run passes 12 of its 15 checks, so it exits 1.
+        assert main(argv) == (1 if name == "repro" else 0)
+    manifest = RunManifest.from_text((tmp_path / "repro" / "repro.manifest").read_text())
+    assert (manifest.status, manifest.counts["checks_passed"], manifest.counts["checks_total"]) == (
+        "checks-failed", 12, 15)
     written = {
         (path.parent.name, path.name): hashlib.sha256(path.read_bytes()).hexdigest()
         for path in tmp_path.glob("*/*")

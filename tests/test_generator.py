@@ -7,6 +7,7 @@ from rootrand import (
     ConfigError,
     DigitBlock,
     GeneratorConfig,
+    ScheduleEntry,
     StreamCache,
     StreamExhausted,
     bits_to_decimal,
@@ -197,7 +198,7 @@ def test_first_entry_yield():
     # First desk comparison: 19950 digit pairs give 17933 bits, so just
     # over 10 percent of positions tie. Both values are regression
     # anchors from two independent pipeline implementations.
-    bits = operator_O(*_entry_windows((2, 2741, 2, 51, 19_950)))
+    bits = operator_O(*_entry_windows(GeneratorConfig(), ScheduleEntry(1, 1, 2, 2, 2741)))
     assert bits.size == 17_933
     ties = 1 - bits.size / 19_950
     assert 0.05 < ties < 0.15

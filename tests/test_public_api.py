@@ -1,0 +1,39 @@
+"""The public names of every module. The benchmark's traced replay wraps
+each function listed here, so a name dropped from an __all__ silently
+loses its spans; a change to these lists is an API change."""
+
+import importlib
+
+import pytest
+
+PUBLIC_NAMES = {
+    "rootrand": [
+        "__version__", "ConfigError", "StreamExhausted", "GeneratorConfig", "ScheduleEntry",
+        "StreamCache", "DigitBlock", "PrimeTable", "PrimePairSets", "TestReport", "BatchResult",
+        "DistributionSummary", "PairTally", "int_nth_root", "root_fractional_digits",
+        "first_n_primes", "nth_prime", "prime_pair_sets", "schedule", "compare_digits",
+        "operator_O", "concat", "generate_bits", "pair_stream", "bits_to_decimal", "digits_stream",
+        "chi_square_statistic", "chi_square_critical", "transitions_test", "ngram_block_test",
+        "batch_test", "ones_count_distribution", "pair_frequency_table",
+    ],
+    "rootrand.generator": [
+        "ConfigError", "StreamExhausted", "GeneratorConfig", "ScheduleEntry", "StreamCache",
+        "schedule", "compare_digits", "operator_O", "concat", "generate_bits", "pair_stream",
+        "bits_to_decimal", "digits_stream",
+    ],
+    "rootrand.stats": [
+        "TestReport", "BatchResult", "DistributionSummary", "PairTally", "chi_square_statistic",
+        "chi_square_critical", "transitions_test", "ngram_block_test", "batch_test",
+        "ones_count_distribution", "pair_frequency_table", "TEST_RUNNERS", "DEFAULT_STRING_LENGTHS",
+    ],
+    "rootrand.roots": ["DigitBlock", "int_nth_root", "root_fractional_digits"],
+    "rootrand.primes": ["PrimeTable", "PrimePairSets", "first_n_primes", "prime_pair_sets", "nth_prime", "is_prime"],
+    "rootrand.cli": ["RunManifest", "main", "build_parser", "load_config_file", "resolve_config"],
+}
+
+
+@pytest.mark.parametrize("module", sorted(PUBLIC_NAMES))
+def test_public_names_pinned(module):
+    mod = importlib.import_module(module)
+    assert mod.__all__ == PUBLIC_NAMES[module]
+    assert all(hasattr(mod, name) for name in mod.__all__)
