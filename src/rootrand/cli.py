@@ -516,10 +516,10 @@ def _full_scale_plan(config, strings, dist_strings, pairs) -> str:
     bits_needed = max(strings * DEFAULT_STRING_LENGTHS["pentads"], dist_strings * 1000)
     entries_bits = math.ceil(bits_needed / (0.9 * window))
     entries_pairs = math.ceil(pairs / window)
-    # The pair table walks the schedule from its start again after the
-    # battery has cycled the digit cache, so its entries' roots count apart.
+    # The pair table walks the schedule from its start again and recomputes
+    # its entries' roots, so they count apart.
     roots = 2 * (entries_bits + entries_pairs)
-    # Root cost grows steeply with the degree, so time one uncached root
+    # Root cost grows steeply with the degree, so time one root
     # per degree the planned entries use and weight it by their number.
     per_degree = Counter()
     for entries in (entries_bits, entries_pairs):

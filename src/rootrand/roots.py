@@ -14,8 +14,6 @@ already decimal, and every result is proved by an exact bracket.
 from __future__ import annotations
 
 import math
-import threading
-from collections import OrderedDict
 from dataclasses import dataclass
 from decimal import MAX_EMAX, MIN_EMIN, ROUND_FLOOR, Context, Decimal, Inexact
 
@@ -123,37 +121,16 @@ def _decimal_root_digits(p: int, r: int, depth: int) -> bytes:
 
 
 def _root_digits(p: int, r: int, depth: int) -> bytes:
-    """The first depth fractional digits of p ** (1/r) as ASCII, uncached."""
+    """The first depth fractional digits of p ** (1/r) as ASCII."""
     if _HAVE_GMPY2:
         root = int_nth_root(p * 10 ** (r * depth), r)
         return gmpy2.mpz(root % 10 ** depth).digits(10).rjust(depth, "0").encode("ascii")
     return _decimal_root_digits(p, r, depth)
 
 
-# Cache of fractional digit strings keyed by (p, r). Entries hold the
-# longest prefix computed so far; shorter requests slice into it.
-_CACHE_MAX = 256
-_digit_cache: OrderedDict[tuple[int, int], bytes] = OrderedDict()
-_cache_lock = threading.Lock()
-
-
-def _fractional_digit_bytes(p: int, r: int, depth: int) -> bytes:
-    with _cache_lock:
-        hit = _digit_cache.get((p, r))
-        if hit is not None and len(hit) >= depth:
-            _digit_cache.move_to_end((p, r))
-            return hit
-    digits = _root_digits(p, r, depth)
-    with _cache_lock:
-        hit = _digit_cache.get((p, r))
-        if hit is None or len(hit) < depth:
-            _digit_cache[(p, r)] = digits
-            _digit_cache.move_to_end((p, r))
-            while len(_digit_cache) > _CACHE_MAX:
-                _digit_cache.popitem(last=False)
-        else:
-            digits = hit
-    return digits
+# No stream walk asks for one (p, r) twice, so roots are not cached. The
+# name stays, always empty, for callers that check for a cold start.
+_digit_cache: dict = {}
 
 
 def root_fractional_digits(p: int, r: int, first: int, count: int) -> np.ndarray:
@@ -171,9 +148,8 @@ def root_fractional_digits(p: int, r: int, first: int, count: int) -> np.ndarray
         raise ValueError(f"{p} is a perfect power of degree {r}; its root has no fractional digits")
     if count == 0:
         return np.zeros(0, dtype=np.uint8)
-    depth = first + count - 1
-    digits = _fractional_digit_bytes(p, r, depth)
-    window = np.frombuffer(digits[first - 1 : first - 1 + count], dtype=np.uint8)
+    digits = _root_digits(p, r, first + count - 1)
+    window = np.frombuffer(digits[first - 1 :], dtype=np.uint8)
     return (window - ord("0")).astype(np.uint8)
 
 

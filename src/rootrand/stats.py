@@ -38,17 +38,27 @@ __all__ = [
 # chi-square machinery
 
 
+# Most terms either expansion below may take before it counts as not
+# converged. Near x = a the series needs about 9 * sqrt(a) terms, so this
+# covers a up to about 10**8, far beyond any chi-square dof used here.
+_GAMMA_MAX_TERMS = 100_000
+
+
+def _not_converged(a: float, x: float) -> ArithmeticError:
+    return ArithmeticError(f"incomplete gamma at a={a}, x={x} did not converge in {_GAMMA_MAX_TERMS} terms")
+
+
 def _lower_gamma_series(a: float, x: float) -> float:
     # P(a, x) as a power series, converges quickly for x < a + 1.
     ap = a
     term = total = 1.0 / a
-    for _ in range(500):
+    for _ in range(_GAMMA_MAX_TERMS):
         ap += 1.0
         term *= x / ap
         total += term
         if abs(term) < abs(total) * 1e-16:
-            break
-    return total * math.exp(-x + a * math.log(x) - math.lgamma(a))
+            return total * math.exp(-x + a * math.log(x) - math.lgamma(a))
+    raise _not_converged(a, x)
 
 
 def _upper_gamma_cf(a: float, x: float) -> float:
@@ -58,7 +68,7 @@ def _upper_gamma_cf(a: float, x: float) -> float:
     c = 1.0 / tiny
     d = 1.0 / b
     h = d
-    for i in range(1, 500):
+    for i in range(1, _GAMMA_MAX_TERMS):
         an = -i * (i - a)
         b += 2.0
         d = an * d + b
@@ -71,8 +81,8 @@ def _upper_gamma_cf(a: float, x: float) -> float:
         delta = d * c
         h *= delta
         if abs(delta - 1.0) < 1e-15:
-            break
-    return h * math.exp(-x + a * math.log(x) - math.lgamma(a))
+            return h * math.exp(-x + a * math.log(x) - math.lgamma(a))
+    raise _not_converged(a, x)
 
 
 def _gammainc_lower(a: float, x: float) -> float:

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import rootrand.roots as roots_mod
 from rootrand import (
     ConfigError,
     DigitBlock,
@@ -175,6 +176,27 @@ def test_fresh_caches_agree(desk_config):
     b = StreamCache(desk_config).prefix(50_000)
     assert np.array_equal(a, b)
     assert np.array_equal(a, generate_bits(desk_config, 50_000))
+
+
+def test_fresh_cache_recomputes(monkeypatch):
+    # Two fresh walks prove determinism only if the second computes its
+    # roots again instead of rereading the first walk's digits. Within a
+    # walk no (p, r) comes twice.
+    config = GeneratorConfig(n_pairs=8, rounds=3, precision_digits=300)
+    compute, calls = roots_mod._root_digits, []
+
+    def counted(p, r, depth):
+        calls.append((p, r, depth))
+        return compute(p, r, depth)
+
+    monkeypatch.setattr(roots_mod, "_root_digits", counted)
+    walks = []
+    for _ in range(2):
+        start = len(calls)
+        StreamCache(config).prefix(2000)
+        walks.append(calls[start:])
+    assert walks[0] == walks[1]
+    assert len({(p, r) for p, r, _ in walks[0]}) == len(walks[0]) > 0
 
 
 def test_workers_match_single_process(desk_config):

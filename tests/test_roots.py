@@ -3,7 +3,7 @@ import functools
 import hashlib
 import sys
 import time
-from collections import OrderedDict
+import types
 from unittest import mock
 
 import numpy as np
@@ -58,9 +58,16 @@ def test_floor_root_bracket(x, r):
     assert t**r <= x < (t + 1) ** r
 
 
+@pytest.fixture(scope="module")
+def sympy():
+    return pytest.importorskip("sympy")
+
+
 @given(x=st.integers(min_value=0, max_value=10**40), r=st.integers(min_value=2, max_value=7))
-def test_newton_matches_primary(x, r):
-    assert _newton_nth_root(x, r) == int_nth_root(x, r)
+def test_newton_matches_primary(sympy, x, r):
+    # Without gmpy2, int_nth_root is _newton_nth_root itself; sympy's
+    # integer root is an independent reference on every machine.
+    assert _newton_nth_root(x, r) == sympy.integer_nthroot(x, r)[0]
 
 
 @given(x=st.integers(min_value=0, max_value=10**30), r=st.integers(min_value=2, max_value=5))
@@ -87,7 +94,6 @@ def default_int_str_cap():
 
 def _force_fallback(monkeypatch):
     monkeypatch.setattr(roots_mod, "_HAVE_GMPY2", False)
-    monkeypatch.setattr(roots_mod, "_digit_cache", type(roots_mod._digit_cache)())
 
 
 def _scaled_root(whole, digits):
@@ -139,8 +145,7 @@ def test_decimal_fallback_matches_mpmath(p, r, window):
     mpmath = pytest.importorskip("mpmath")
     first, count = window
     depth = first + count - 1
-    with mock.patch.object(roots_mod, "_HAVE_GMPY2", False), \
-            mock.patch.object(roots_mod, "_digit_cache", OrderedDict()):
+    with mock.patch.object(roots_mod, "_HAVE_GMPY2", False):
         got = root_fractional_digits(p, r, first, count)
     # The reference goes through exp(log(p) / r): mpmath.root loses up to
     # ~40 of its digits near 1840 dps (its seventh root of 23929 at that
@@ -163,7 +168,6 @@ def _offset_newton(monkeypatch, offset):
         return decimal.Context(prec=t.adjusted() + 2).add(t, offset)
 
     monkeypatch.setattr(roots_mod, "_newton_floor", off)
-    monkeypatch.setattr(roots_mod, "_digit_cache", type(roots_mod._digit_cache)())
 
 
 def test_bracket_repairs_a_near_miss(monkeypatch):
@@ -189,8 +193,41 @@ def test_fallback_matches_gmpy2(monkeypatch):
     _force_fallback(monkeypatch)
     wide = root_fractional_digits(5, 3, 1, 5000)
     monkeypatch.setattr(roots_mod, "_HAVE_GMPY2", True)
-    monkeypatch.setattr(roots_mod, "_digit_cache", type(roots_mod._digit_cache)())
     assert np.array_equal(wide, root_fractional_digits(5, 3, 1, 5000))
+
+
+def _stand_in_gmpy2(sympy):
+    """A gmpy2 module with just what roots uses, its integer root from sympy."""
+    gmpy2 = types.ModuleType("gmpy2")
+
+    class mpz(int):
+        def digits(self, base=10):
+            assert base == 10
+            return str(int(self))
+
+    def iroot(x, n):
+        root, exact = sympy.integer_nthroot(int(x), n)
+        return mpz(root), exact
+
+    gmpy2.mpz, gmpy2.iroot = mpz, iroot
+    return gmpy2
+
+
+# Windows below the int-to-str cap of 4300 digits, which the stand-in's
+# str() is subject to. 1000003 ** (1/3) = 100.0000999..., and
+# 10007 ** (1/2) = 100.0349..., so their digits start with zeros.
+@pytest.mark.parametrize(
+    "p, r, first, count",
+    [(1000003, 3, 1, 4000), (10007, 2, 1, 3000), (10007, 2, 2, 5), (5, 3, 51, 20), (99991, 7, 1000, 1500)],
+)
+def test_gmpy2_branch_matches_decimal(monkeypatch, sympy, p, r, first, count):
+    depth = first + count - 1
+    want = roots_mod._decimal_root_digits(p, r, depth)
+    monkeypatch.setattr(roots_mod, "gmpy2", _stand_in_gmpy2(sympy), raising=False)
+    monkeypatch.setattr(roots_mod, "_HAVE_GMPY2", True)
+    assert roots_mod._root_digits(p, r, depth) == want
+    got = root_fractional_digits(p, r, first, count)
+    assert (got + ord("0")).tobytes() == want[first - 1 :]
 
 
 def test_fallback_matches_mpmath(monkeypatch):

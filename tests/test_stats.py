@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import rootrand.stats as stats_mod
 from rootrand import (
     batch_test,
     chi_square_critical,
@@ -19,6 +20,7 @@ from rootrand.stats import (
     DEFAULT_STRING_LENGTHS,
     TEST_RUNNERS,
     _chi2_cdf,
+    _gammainc_lower,
     _within_percents,
 )
 
@@ -100,6 +102,28 @@ def test_cdf_against_scipy():
             assert _chi2_cdf(dof, x) == pytest.approx(
                 float(special.gammainc(dof / 2, x / 2)), abs=1e-12
             )
+
+
+def test_gamma_converges_at_large_dof():
+    special = pytest.importorskip("scipy.special")
+    scipy_stats = pytest.importorskip("scipy.stats")
+    # Near x = a both expansions need thousands of terms once a passes 10**4;
+    # cut at 500 terms they read P(1e5, 1e5) as 0.44359 (true: 0.50042).
+    for a in (1e4, 5e4, 1e5, 1e6):
+        for x in (0.99 * a, a, 1.01 * a):
+            assert _gammainc_lower(a, x) == pytest.approx(float(special.gammainc(a, x)), rel=1e-8)
+    for dof, alpha in ((100_000, 0.6), (200_000, 0.5), (1_000_000, 0.05)):
+        ref = scipy_stats.chi2.ppf(1 - alpha, dof)
+        assert chi_square_critical(dof, alpha) == pytest.approx(ref, rel=1e-9)
+
+
+def test_gamma_raises_unconverged(monkeypatch):
+    # Too few terms for a = 10**4 in either expansion: the series (x < a + 1)
+    # and the continued fraction (x >= a + 1) raise rather than return.
+    monkeypatch.setattr(stats_mod, "_GAMMA_MAX_TERMS", 50)
+    for x in (1e4, 1e4 + 200):
+        with pytest.raises(ArithmeticError, match="did not converge in 50 terms"):
+            _gammainc_lower(1e4, x)
 
 
 def test_critical_monotonicity():
