@@ -16,19 +16,22 @@ def int_arg(name: str, value, low: int | None = None, high: int | None = None, e
     return value
 
 
+def _small_ints(values, high: int, message: str) -> np.ndarray:
+    """values as uint8 if they are bools or ints in 0..high, checked before the cast."""
+    arr = np.asarray(values)
+    if arr.size and (arr.dtype.kind not in "biu" or arr.min() < 0 or arr.max() > high):
+        raise ValueError(message)
+    return arr.astype(np.uint8, copy=False)
+
+
 def bit_array(bits) -> np.ndarray:
-    """bits as a flat uint8 array, which may only hold 0 and 1."""
-    arr = np.asarray(bits, dtype=np.uint8).ravel()
-    if arr.size and arr.max() > 1:
-        raise ValueError("bits may only contain 0 and 1")
-    return arr
+    """bits as a flat uint8 array, which may only hold the integers 0 and 1."""
+    return _small_ints(bits, 1, "bits may only contain the integers 0 and 1").ravel()
 
 
 def digit_array(digits) -> np.ndarray:
-    """digits as a one dimensional uint8 array, which may only hold 0..9."""
-    arr = np.asarray(digits, dtype=np.uint8)
+    """digits as a one dimensional uint8 array, which may only hold the integers 0..9."""
+    arr = np.asarray(digits)
     if arr.ndim != 1:
         raise ValueError("digits must be one dimensional")
-    if arr.size and arr.max() > 9:
-        raise ValueError("digits must lie in 0..9")
-    return arr
+    return _small_ints(arr, 9, "digits must be integers in 0..9")

@@ -39,7 +39,7 @@ from .generator import (
     digits_stream,
     generate_bits,
 )
-from .roots import _root_digits, int_nth_root
+from .roots import _floor_root, int_nth_root
 from .stats import (
     DEFAULT_STRING_LENGTHS,
     _chi_square_report,
@@ -217,7 +217,7 @@ def cmd_gen_digits(args, config):
             {"digits": args.count, "bits_consumed": consumed}, [str(out)])
 
 
-_CHI_SUITES = ("transitions", "dyads", "triads", "tetrads", "pentads")
+_CHI_SUITES = tuple(DEFAULT_STRING_LENGTHS)
 
 
 def _write_csv(path: Path, header, rows):
@@ -527,7 +527,7 @@ def _full_scale_plan(config, strings, dist_strings, pairs) -> str:
     per_root = {}
     for degree in sorted(per_degree):
         t0 = time.perf_counter()
-        _root_digits(10007, degree, config.precision_digits)
+        _floor_root(10007, degree, config.precision_digits)
         per_root[degree] = time.perf_counter() - t0
     root_time = sum(2 * n * per_root[degree] for degree, n in per_degree.items())
     est = root_time * 1.05  # digit compares add up to about 5% to the time of their roots

@@ -49,7 +49,7 @@ class StreamExhausted(RuntimeError):
 
 
 def _check_prime_tuple(name: str, values) -> tuple[int, ...]:
-    out = tuple(int(v) for v in values)
+    out = tuple(int_arg(f"each {name} entry", v, error=ConfigError) for v in values)
     for v in out:
         if not _primes.is_prime(v):
             raise ConfigError(f"{name} must contain only primes, got {v}")
@@ -213,8 +213,8 @@ def operator_O(left, right) -> np.ndarray:
 
 def concat(chunks) -> np.ndarray:
     """Concatenate bit sequences into one uint8 bit array."""
-    parts = [np.asarray(c, dtype=np.uint8).ravel() for c in chunks]
-    return bit_array(np.concatenate(parts) if parts else [])
+    parts = [bit_array(c) for c in chunks]
+    return np.concatenate(parts) if parts else np.zeros(0, dtype=np.uint8)
 
 
 def _entry_bits(config: GeneratorConfig, e: ScheduleEntry) -> np.ndarray:

@@ -5,10 +5,11 @@ radicand by 10**(r*D) shifts the root by 10**D, so the integer root of
 p * 10**(r*D) carries the first D fractional digits in its low decimal
 positions. Those digits are exact and do not change when D grows.
 
-gmpy2 computes that integer root when it imports. Without it the root is
-computed in the standard library's ``decimal``, whose multiplication and
-division stay fast at a hundred thousand digits and whose output is
-already decimal, and every result is proved by an exact bracket.
+_floor_root computes that integer root for every window, and whether it
+is exact: with gmpy2 when it imports, else in the standard library's
+``decimal``, whose multiplication and division stay fast at a hundred
+thousand digits and whose output is already decimal, with every result
+proved by an exact bracket. int_nth_root never uses gmpy2.
 """
 
 from __future__ import annotations
@@ -34,13 +35,11 @@ __all__ = ["DigitBlock", "int_nth_root", "root_fractional_digits"]
 def int_nth_root(x: int, r: int) -> int:
     """Return floor(x ** (1/r)) for integer x >= 0, r >= 1, exactly.
 
-    The result T satisfies T**r <= x < (T + 1)**r. gmpy2 does the heavy
-    lifting when present; a pure integer Newton iteration is the fallback.
+    The result T satisfies T**r <= x < (T + 1)**r. A pure integer Newton
+    iteration computes it with or without gmpy2: a backend-free reference.
     """
     int_arg("x", x, 0)
     int_arg("r", r, 1)
-    if _HAVE_GMPY2:
-        return int(gmpy2.iroot(gmpy2.mpz(x), r)[0])
     return _newton_nth_root(x, r)
 
 
@@ -78,8 +77,8 @@ def _newton_floor(p: int, r: int, depth: int) -> Decimal:
 
     Each step roughly doubles the correct digits, so the precision doubles
     from step to step up to depth plus guard digits. Rounding can still
-    leave the result one off the true floor; _decimal_root_digits checks
-    and repairs it.
+    leave the result one off the true floor; _floor_root checks and
+    repairs it.
     """
     e = math.log10(p) / r
     lead = math.floor(e)
@@ -98,34 +97,30 @@ def _newton_floor(p: int, r: int, depth: int) -> Decimal:
     return ctx.scaleb(y, depth).to_integral_value(rounding=ROUND_FLOOR)
 
 
-def _decimal_root_digits(p: int, r: int, depth: int) -> bytes:
-    """The first depth fractional digits of p ** (1/r), proved exact.
+def _floor_root(p: int, r: int, depth: int):
+    """(T, exact) for T = floor((p * 10**(r*depth)) ** (1/r)), like gmpy2.iroot.
 
-    T from _newton_floor must satisfy T**r <= p * 10**(r*depth) < (T+1)**r,
+    exact tells whether T**r equals the radicand. Without gmpy2, T from
+    _newton_floor must satisfy T**r <= p * 10**(r*depth) < (T+1)**r,
     evaluated in a context wide enough to hold both powers, with Inexact
     trapped so that no operation can round. A T that misses is moved by one
     at a time, at most _REPAIR_STEPS times.
     """
+    if _HAVE_GMPY2:
+        return gmpy2.iroot(gmpy2.mpz(p) * gmpy2.mpz(10) ** (r * depth), r)
     t = _newton_floor(p, r, depth)
     exact = Context(prec=r * (t.adjusted() + 2), Emax=MAX_EMAX, Emin=MIN_EMIN)
     exact.traps[Inexact] = True
     x = exact.scaleb(p, r * depth)
     for _ in range(_REPAIR_STEPS):
-        if exact.power(t, r) > x:
+        low = exact.power(t, r)
+        if low > x:
             t = exact.subtract(t, 1)
         elif exact.power(exact.add(t, 1), r) <= x:
             t = exact.add(t, 1)
         else:
-            return str(t)[-depth:].encode("ascii")
+            return t, low == x
     raise ArithmeticError(f"Newton estimate of {p}**(1/{r}) at {depth} digits is off by more than {_REPAIR_STEPS}")
-
-
-def _root_digits(p: int, r: int, depth: int) -> bytes:
-    """The first depth fractional digits of p ** (1/r) as ASCII."""
-    if _HAVE_GMPY2:
-        root = int_nth_root(p * 10 ** (r * depth), r)
-        return gmpy2.mpz(root % 10 ** depth).digits(10).rjust(depth, "0").encode("ascii")
-    return _decimal_root_digits(p, r, depth)
 
 
 # No stream walk asks for one (p, r) twice, so roots are not cached. The
@@ -143,14 +138,12 @@ def root_fractional_digits(p: int, r: int, first: int, count: int) -> np.ndarray
     """
     for name, value, low in (("p", p, 2), ("r", r, 2), ("first", first, 1), ("count", count, 0)):
         int_arg(name, value, low)
-    whole = int_nth_root(p, r)
-    if whole ** r == p:
+    # An empty window only needs the perfect-power check, which depth 0 gives.
+    root, exact = _floor_root(p, r, first + count - 1 if count else 0)
+    if exact:
         raise ValueError(f"{p} is a perfect power of degree {r}; its root has no fractional digits")
-    if count == 0:
-        return np.zeros(0, dtype=np.uint8)
-    digits = _root_digits(p, r, first + count - 1)
-    window = np.frombuffer(digits[first - 1 :], dtype=np.uint8)
-    return (window - ord("0")).astype(np.uint8)
+    digits = str(root)[-count:] if count else ""
+    return np.frombuffer(digits.encode("ascii"), dtype=np.uint8) - ord("0")
 
 
 @dataclass

@@ -64,6 +64,9 @@ def test_config_is_frozen_and_hashable(desk_config):
         dict(n_pairs=2, rounds=2, c1=(5, 7), c2=(17, 19), degrees=(3,)),
         dict(n_pairs=1, rounds=1, c1=(5,), c2=(17,), degrees=(4,)),
         dict(rounds=True),
+        dict(n_pairs=1, rounds=1, precision_digits=100, c1=(5.9,), c2=(17,)),
+        dict(n_pairs=1, rounds=1, precision_digits=100, c1=(5,), c2=("17",)),
+        dict(n_pairs=1, rounds=1, precision_digits=100, c1=(5,), c2=(17,), degrees=(3.2,)),
     ],
 )
 def test_config_rejects_invalid(kwargs):
@@ -183,13 +186,13 @@ def test_fresh_cache_recomputes(monkeypatch):
     # roots again instead of rereading the first walk's digits. Within a
     # walk no (p, r) comes twice.
     config = GeneratorConfig(n_pairs=8, rounds=3, precision_digits=300)
-    compute, calls = roots_mod._root_digits, []
+    compute, calls = roots_mod._floor_root, []
 
     def counted(p, r, depth):
         calls.append((p, r, depth))
         return compute(p, r, depth)
 
-    monkeypatch.setattr(roots_mod, "_root_digits", counted)
+    monkeypatch.setattr(roots_mod, "_floor_root", counted)
     walks = []
     for _ in range(2):
         start = len(calls)
@@ -280,6 +283,13 @@ def test_operator_edge_cases():
         )
     with pytest.raises(ValueError):
         operator_O([11], [3])
+    # Checked before the uint8 cast, which would wrap 261 to 5 and cut 3.9 to 3.
+    with pytest.raises(ValueError):
+        operator_O(np.array([261, 3]), np.array([4, 3]))
+    with pytest.raises(ValueError):
+        operator_O(np.array([5, 3]), np.array([4, 3.9]))
+    with pytest.raises(ValueError):
+        operator_O(np.array([-1, 3]), np.array([4, 3]))
 
 
 @given(
@@ -305,6 +315,10 @@ def test_concat_examples():
     assert concat([[], [1], []]).tolist() == [1]
     with pytest.raises(ValueError):
         concat([[0, 2]])
+    with pytest.raises(ValueError):
+        concat([np.array([0, 257])])
+    with pytest.raises(ValueError):
+        concat([np.array([0.9, 1])])
 
 
 @given(chunks=st.lists(st.lists(st.integers(min_value=0, max_value=1), max_size=8), max_size=6))
@@ -334,6 +348,10 @@ def test_bits_to_decimal_examples():
     assert bits_to_decimal([]).size == 0
     with pytest.raises(ValueError):
         bits_to_decimal([0, 2, 1, 1])
+    with pytest.raises(ValueError):
+        bits_to_decimal(np.array([0, 256, 1, 1]))
+    with pytest.raises(ValueError):
+        bits_to_decimal([0.5, 1.0, 1, 1])
 
 
 @given(bits=st.lists(st.integers(min_value=0, max_value=1), max_size=120))

@@ -199,18 +199,22 @@ def test_fallback_matches_gmpy2(monkeypatch):
 def _stand_in_gmpy2(sympy):
     """A gmpy2 module with just what roots uses, its integer root from sympy."""
     gmpy2 = types.ModuleType("gmpy2")
-
-    class mpz(int):
-        def digits(self, base=10):
-            assert base == 10
-            return str(int(self))
-
-    def iroot(x, n):
-        root, exact = sympy.integer_nthroot(int(x), n)
-        return mpz(root), exact
-
-    gmpy2.mpz, gmpy2.iroot = mpz, iroot
+    gmpy2.mpz, gmpy2.iroot = int, lambda x, n: sympy.integer_nthroot(int(x), n)
     return gmpy2
+
+
+def _use_gmpy2(monkeypatch, gmpy2):
+    monkeypatch.setattr(roots_mod, "gmpy2", gmpy2, raising=False)
+    monkeypatch.setattr(roots_mod, "_HAVE_GMPY2", True)
+
+
+@pytest.fixture(params=["decimal", "gmpy2-stand-in"])
+def backend(request, monkeypatch, sympy):
+    """Run the test once on each branch of the floor root."""
+    _force_fallback(monkeypatch)
+    if request.param == "gmpy2-stand-in":
+        _use_gmpy2(monkeypatch, _stand_in_gmpy2(sympy))
+    return request.param
 
 
 # Windows below the int-to-str cap of 4300 digits, which the stand-in's
@@ -222,12 +226,26 @@ def _stand_in_gmpy2(sympy):
 )
 def test_gmpy2_branch_matches_decimal(monkeypatch, sympy, p, r, first, count):
     depth = first + count - 1
-    want = roots_mod._decimal_root_digits(p, r, depth)
-    monkeypatch.setattr(roots_mod, "gmpy2", _stand_in_gmpy2(sympy), raising=False)
-    monkeypatch.setattr(roots_mod, "_HAVE_GMPY2", True)
-    assert roots_mod._root_digits(p, r, depth) == want
-    got = root_fractional_digits(p, r, first, count)
-    assert (got + ord("0")).tobytes() == want[first - 1 :]
+    _force_fallback(monkeypatch)
+    root, exact = roots_mod._floor_root(p, r, depth)
+    want = root_fractional_digits(p, r, first, count)
+    _use_gmpy2(monkeypatch, _stand_in_gmpy2(sympy))
+    assert roots_mod._floor_root(p, r, depth) == (int(root), exact)
+    assert np.array_equal(root_fractional_digits(p, r, first, count), want)
+
+
+def test_int_nth_root_never_asks_gmpy2(monkeypatch):
+    # The integer root is the backend-independent reference, so it must
+    # not change with the backend, not even where gmpy2 imports.
+    broken = types.ModuleType("gmpy2")
+
+    def iroot(x, n):
+        raise RuntimeError("int_nth_root asked gmpy2")
+
+    broken.mpz, broken.iroot = int, iroot
+    _use_gmpy2(monkeypatch, broken)
+    assert int_nth_root(2 * 10**20, 2) == 14142135623
+    assert int_nth_root(7**3 - 1, 3) == 6
 
 
 def test_fallback_matches_mpmath(monkeypatch):
@@ -294,7 +312,7 @@ def test_digits_stay_in_range(p, r, first, count):
     assert digits.max() <= 9
 
 
-def test_perfect_powers_rejected():
+def test_perfect_powers_rejected(backend):
     for p, r in ((8, 3), (9, 2), (4, 2), (32, 5)):
         with pytest.raises(ValueError):
             root_fractional_digits(p, r, 1, 5)
@@ -314,6 +332,16 @@ def test_fractional_digit_validation():
     assert root_fractional_digits(5, 3, 7, 0).size == 0
 
 
+def test_empty_window_far_out(backend):
+    # An empty window needs no digits, however far out it starts, but a
+    # perfect power is still rejected.
+    start = time.perf_counter()
+    assert root_fractional_digits(5, 3, 10**9, 0).size == 0
+    assert time.perf_counter() - start < 1
+    with pytest.raises(ValueError):
+        root_fractional_digits(4, 2, 10**9, 0)
+
+
 def test_digit_block():
     block = DigitBlock.from_root(5, 3, 51, 3)
     assert len(block) == 3
@@ -323,5 +351,7 @@ def test_digit_block():
         DigitBlock(np.array([1, 2, 3], dtype=np.uint8), offset=0)
     with pytest.raises(ValueError):
         DigitBlock(np.array([4, 12], dtype=np.uint8), offset=1)
+    with pytest.raises(ValueError):
+        DigitBlock(np.array([3, 261]), offset=1)
     with pytest.raises(ValueError):
         DigitBlock(np.zeros((2, 2), dtype=np.uint8), offset=1)

@@ -188,6 +188,11 @@ def test_transitions_validation():
         transitions_test([0])
     with pytest.raises(ValueError):
         transitions_test([0, 2])
+    # Checked before the uint8 cast, which would wrap 256 to 0 and cut 0.5 to 0.
+    with pytest.raises(ValueError):
+        transitions_test(np.array([0, 256, 1]))
+    with pytest.raises(ValueError):
+        transitions_test([0.5, 1.0])
 
 
 # ---------------------------------------------------------------------------
