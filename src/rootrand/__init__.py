@@ -15,8 +15,8 @@ from .generator import (
     pair_stream,
     schedule,
 )
-from .primes import PrimePairSets, PrimeTable, first_n_primes, nth_prime, prime_pair_sets
-from .roots import DigitBlock, int_nth_root, root_fractional_digits
+from .primes import first_n_primes, nth_prime, prime_pair_sets
+from .roots import int_nth_root, root_fractional_digits
 from .stats import (
     BatchResult,
     DistributionSummary,
@@ -40,9 +40,6 @@ __all__ = [
     "GeneratorConfig",
     "ScheduleEntry",
     "StreamCache",
-    "DigitBlock",
-    "PrimeTable",
-    "PrimePairSets",
     "TestReport",
     "BatchResult",
     "DistributionSummary",

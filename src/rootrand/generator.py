@@ -21,7 +21,7 @@ import numpy as np
 
 from . import primes as _primes
 from ._checks import bit_array, digit_array, int_arg
-from .roots import DigitBlock, root_fractional_digits
+from .roots import root_fractional_digits
 
 __all__ = [
     "ConfigError",
@@ -128,8 +128,7 @@ def _block_entries(config: GeneratorConfig, block: int):
     if config.c1 is not None:
         c1, c2 = config.c1, config.c2
     else:
-        sets = _primes.prime_pair_sets(config.n_pairs, block)
-        c1, c2 = sets.c1, sets.c2
+        c1, c2 = _primes.prime_pair_sets(config.n_pairs, block)
     n = config.n_pairs
     for j in range(1, config.rounds + 1):
         degree = _round_degree(config, j)
@@ -197,15 +196,12 @@ def _compare(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def operator_O(left, right) -> np.ndarray:
-    """Positionwise digit comparison of two aligned windows.
+    """Positionwise digit comparison of two aligned digit arrays.
 
-    Emits one bit per non-tied position, in order. Accepts DigitBlocks
-    (offsets must agree) or plain digit arrays.
+    Both must be one dimensional, of equal length, and hold only the
+    integers 0..9. Emits one bit per non-tied position, in order.
     """
-    if isinstance(left, DigitBlock) and isinstance(right, DigitBlock):
-        if left.offset != right.offset:
-            raise ValueError("digit windows must start at the same offset")
-    a, b = (digit_array(w.digits if isinstance(w, DigitBlock) else w) for w in (left, right))
+    a, b = digit_array(left), digit_array(right)
     if a.size != b.size:
         raise ValueError("digit windows must have equal length")
     return _compare(a, b)
@@ -238,9 +234,6 @@ class StreamCache:
         self._buf = np.zeros(0, dtype=np.uint8)
         self._total = 0
         self._lock = threading.RLock()
-
-    def __len__(self) -> int:
-        return self._total
 
     def prefix(self, n_bits: int, workers: int = 1) -> np.ndarray:
         """The first n_bits of the stream as a read-only uint8 view."""
@@ -311,11 +304,16 @@ def pair_stream(config: GeneratorConfig, max_pairs: int) -> np.ndarray:
 def _block_values(bits: np.ndarray, k: int) -> np.ndarray:
     """Values of the non-overlapping k-bit blocks of bits, most significant bit first.
 
-    A trailing block shorter than k bits is dropped.
+    bits is a uint8 0/1 array and k is at most 8, so the values stay uint8
+    and no wider copy of the bits is made. A trailing block shorter than k
+    bits is dropped.
     """
-    blocks = bits.size // k
-    weights = 1 << np.arange(k - 1, -1, -1, dtype=np.int64)
-    return bits[: blocks * k].reshape(blocks, k) @ weights
+    columns = bits[: bits.size // k * k].reshape(-1, k)
+    out = columns[:, 0].copy()
+    for i in range(1, k):
+        out <<= 1
+        out |= columns[:, i]
+    return out
 
 
 def bits_to_decimal(bits) -> np.ndarray:

@@ -9,22 +9,19 @@ from __future__ import annotations
 
 import math
 import threading
-from dataclasses import dataclass
 
 import numpy as np
 
 from ._checks import int_arg
 
-__all__ = ["PrimeTable", "PrimePairSets", "first_n_primes", "prime_pair_sets", "nth_prime", "is_prime"]
+__all__ = ["first_n_primes", "prime_pair_sets", "nth_prime", "is_prime"]
 
 _table = np.zeros(0, dtype=np.int64)
 _table_lock = threading.Lock()
 
 
 def _upper_bound(n: int) -> int:
-    # p_n < n (ln n + ln ln n) for n >= 6; small cases are padded manually.
-    if n < 6:
-        return 15
+    # p_n < n (ln n + ln ln n) for n >= 6; _ensure_table never asks for fewer than 64.
     ln = math.log(n)
     return int(n * (ln + math.log(ln))) + 8
 
@@ -49,39 +46,9 @@ def _ensure_table(n: int) -> np.ndarray:
         return _table
 
 
-@dataclass(frozen=True)
-class PrimeTable:
-    """The first len(primes) primes in increasing order."""
-
-    primes: tuple[int, ...]
-
-    def __len__(self) -> int:
-        return len(self.primes)
-
-    def __getitem__(self, k):
-        return self.primes[k]
-
-    def nth(self, k: int) -> int:
-        """1-based lookup: nth(1) == 2."""
-        if k < 1 or k > len(self.primes):
-            raise IndexError(f"rank {k} outside table of {len(self.primes)} primes")
-        return self.primes[k - 1]
-
-
-@dataclass(frozen=True)
-class PrimePairSets:
-    """Two disjoint runs of consecutive primes, ranks 2bn+1..2bn+n and on to 2bn+2n."""
-
-    c1: tuple[int, ...]
-    c2: tuple[int, ...]
-    n_pairs: int
-    block_index: int
-
-
-def first_n_primes(n: int) -> PrimeTable:
-    """The first n primes as a PrimeTable."""
-    table = _ensure_table(int_arg("n", n, 1))
-    return PrimeTable(tuple(int(p) for p in table[:n]))
+def first_n_primes(n: int) -> tuple[int, ...]:
+    """The first n primes in increasing order."""
+    return tuple(_ensure_table(int_arg("n", n, 1))[:n].tolist())
 
 
 def nth_prime(k: int) -> int:
@@ -96,14 +63,13 @@ def is_prime(n: int) -> bool:
     return all(n % p for p in _flat_sieve(math.isqrt(n) + 1).tolist())
 
 
-def prime_pair_sets(n_pairs: int, block_index: int = 0) -> PrimePairSets:
-    """Consecutive prime runs for one block: ranks base+1..base+n and base+n+1..base+2n.
+def prime_pair_sets(n_pairs: int, block_index: int = 0) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """(c1, c2) for one block: two disjoint runs of n_pairs consecutive primes.
 
-    base is 2 * block_index * n_pairs, so successive blocks use fresh,
-    strictly larger primes and never overlap.
+    c1 holds the primes of ranks base+1..base+n and c2 those of ranks
+    base+n+1..base+2n, where base is 2 * block_index * n_pairs, so
+    successive blocks use fresh, strictly larger primes and never overlap.
     """
     base = 2 * int_arg("n_pairs", n_pairs, 1) * int_arg("block_index", block_index, 0)
-    table = _ensure_table(base + 2 * n_pairs)
-    c1 = tuple(int(p) for p in table[base : base + n_pairs])
-    c2 = tuple(int(p) for p in table[base + n_pairs : base + 2 * n_pairs])
-    return PrimePairSets(c1=c1, c2=c2, n_pairs=n_pairs, block_index=block_index)
+    run = _ensure_table(base + 2 * n_pairs)[base : base + 2 * n_pairs].tolist()
+    return tuple(run[:n_pairs]), tuple(run[n_pairs:])

@@ -15,12 +15,11 @@ proved by an exact bracket. int_nth_root never uses gmpy2.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from decimal import MAX_EMAX, MIN_EMIN, ROUND_FLOOR, Context, Decimal, Inexact
 
 import numpy as np
 
-from ._checks import digit_array, int_arg
+from ._checks import int_arg
 
 try:
     import gmpy2
@@ -29,7 +28,7 @@ try:
 except ImportError:  # pragma: no cover - exercised via monkeypatching in tests
     _HAVE_GMPY2 = False
 
-__all__ = ["DigitBlock", "int_nth_root", "root_fractional_digits"]
+__all__ = ["int_nth_root", "root_fractional_digits"]
 
 
 def int_nth_root(x: int, r: int) -> int:
@@ -144,22 +143,3 @@ def root_fractional_digits(p: int, r: int, first: int, count: int) -> np.ndarray
         raise ValueError(f"{p} is a perfect power of degree {r}; its root has no fractional digits")
     digits = str(root)[-count:] if count else ""
     return np.frombuffer(digits.encode("ascii"), dtype=np.uint8) - ord("0")
-
-
-@dataclass
-class DigitBlock:
-    """A contiguous window of fractional digits with its 1-based offset."""
-
-    digits: np.ndarray
-    offset: int = 1
-
-    def __post_init__(self):
-        self.digits = digit_array(self.digits)
-        int_arg("offset", self.offset, 1)
-
-    def __len__(self) -> int:
-        return int(self.digits.size)
-
-    @classmethod
-    def from_root(cls, p: int, r: int, first: int, count: int) -> "DigitBlock":
-        return cls(root_fractional_digits(p, r, first, count), first)

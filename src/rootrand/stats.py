@@ -354,9 +354,8 @@ class PairTally:
     counts: np.ndarray
     total: int
 
-    def frequencies(self, decimals: int | None = None) -> np.ndarray:
-        freq = self.counts / float(self.total)
-        return np.round(freq, decimals) if decimals is not None else freq
+    def frequencies(self) -> np.ndarray:
+        return self.counts / float(self.total)
 
 
 def pair_frequency_table(config: GeneratorConfig, max_pairs: int) -> PairTally:

@@ -1,12 +1,10 @@
 """Every public int argument rejects a bool, a float and the first value below its bound,
 with a message naming the argument and the bound."""
 
-import numpy as np
 import pytest
 
 from rootrand import (
     ConfigError,
-    DigitBlock,
     GeneratorConfig,
     StreamCache,
     batch_test,
@@ -48,7 +46,6 @@ INT_ARGUMENTS = {
     "root_fractional_digits.r": ("r", 2, lambda cfg, v: root_fractional_digits(5, v, 1, 1)),
     "root_fractional_digits.first": ("first", 1, lambda cfg, v: root_fractional_digits(5, 3, v, 1)),
     "root_fractional_digits.count": ("count", 0, lambda cfg, v: root_fractional_digits(5, 3, 1, v)),
-    "DigitBlock.offset": ("offset", 1, lambda cfg, v: DigitBlock(np.zeros(3, dtype=np.uint8), v)),
     # At the defaults precision_digits must exceed skip_digits = 50, and rounds lie in 1..n_pairs.
     "GeneratorConfig.n_pairs": ("n_pairs", 1, lambda cfg, v: GeneratorConfig(n_pairs=v)),
     "GeneratorConfig.rounds": ("rounds", 1, lambda cfg, v: GeneratorConfig(rounds=v)),

@@ -125,6 +125,11 @@ def test_cli_error_paths(tmp_path, capsys):
     err = capsys.readouterr().err
     assert f"{malformed}:2:" in err
     assert "n_pairs" in err and "'abc'" in err
+    no_equals = tmp_path / "no_equals.cfg"
+    no_equals.write_text("# comment\nrounds = 1\nn_pairs 2\n")
+    assert main(["gen-bits", "--config", str(no_equals), "--count", "3", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert f"{no_equals}:3:" in err and "expected 'key = value'" in err
     # A data file that cannot be written is an error, and no manifest follows it.
     missing = tmp_path / "missing" / "x.txt"
     for argv in (["gen-bits", "--count", "3"], ["test", "--suite", "dyads", "--strings", "1"]):
@@ -244,6 +249,22 @@ def test_module_entrypoint_rerun(worked_cfg_file, tmp_path):
     m1 = _drop_timing((tmp_path / "m1.txt.manifest").read_text())
     m2 = _drop_timing((tmp_path / "m2.txt.manifest").read_text())
     assert m1.replace("m1.txt", "x") == m2.replace("m2.txt", "x")
+
+
+def test_library_runs_without_test_only_dependencies(tmp_path):
+    # scipy, mpmath and sympy serve the tests only, and gmpy2 is optional:
+    # the full battery must run with every one of them unimportable.
+    script = (
+        "import sys\n"
+        "for name in ('scipy', 'mpmath', 'sympy', 'gmpy2'):\n"
+        "    sys.modules[name] = None\n"
+        "import rootrand, rootrand.stats\n"
+        "from rootrand.cli import main\n"
+        "sys.exit(main(['test', '--suite', 'all', '--precision', '300', '--strings', '2',\n"
+        f"               '--pairs', '20000', '--out', {str(tmp_path / 'r.csv')!r}]))\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_manifest_round_trip():

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,7 +8,6 @@ from hypothesis import strategies as st
 import rootrand.roots as roots_mod
 from rootrand import (
     ConfigError,
-    DigitBlock,
     GeneratorConfig,
     ScheduleEntry,
     StreamCache,
@@ -20,7 +21,7 @@ from rootrand import (
     pair_stream,
     schedule,
 )
-from rootrand.generator import _entry_windows, shared_stream
+from rootrand.generator import _block_values, _entry_windows, shared_stream
 
 # Regression anchor: the first 64 bits of the default stream, confirmed
 # by two independent implementations of the pipeline. Any change here
@@ -67,10 +68,13 @@ def test_config_is_frozen_and_hashable(desk_config):
         dict(n_pairs=1, rounds=1, precision_digits=100, c1=(5.9,), c2=(17,)),
         dict(n_pairs=1, rounds=1, precision_digits=100, c1=(5,), c2=("17",)),
         dict(n_pairs=1, rounds=1, precision_digits=100, c1=(5,), c2=(17,), degrees=(3.2,)),
+        dict(n_pairs=2, rounds=1, c1=(5, 5), c2=(17, 19), match="c1 must not repeat primes"),
     ],
 )
 def test_config_rejects_invalid(kwargs):
-    with pytest.raises(ConfigError):
+    kwargs = dict(kwargs)
+    match = kwargs.pop("match", None)
+    with pytest.raises(ConfigError, match=match):
         GeneratorConfig(**kwargs)
 
 
@@ -139,10 +143,10 @@ def test_schedule_pairs_distinct(n, rounds):
     # rotation by j never pairs a slot with its natural partner while j < n
     from rootrand import prime_pair_sets
 
-    sets = prime_pair_sets(n, 0)
+    _, c2 = prime_pair_sets(n, 0)
     for e in entries:
         if e.round_index % n != 0:
-            assert e.right != sets.c2[e.pair_index - 1]
+            assert e.right != c2[e.pair_index - 1]
 
 
 # ---------------------------------------------------------------------------
@@ -266,8 +270,9 @@ def test_compare_digits_examples():
 
 
 def test_operator_worked_example():
-    left = DigitBlock(np.array([4, 9, 2], dtype=np.uint8), offset=51)
-    right = DigitBlock(np.array([6, 2, 5], dtype=np.uint8), offset=51)
+    # Digits 51..53 of 5**(1/3) and 17**(1/3), the worked config.
+    left = np.array([4, 9, 2], dtype=np.uint8)
+    right = np.array([6, 2, 5], dtype=np.uint8)
     assert operator_O(left, right).tolist() == [0, 1, 0]
 
 
@@ -276,11 +281,8 @@ def test_operator_edge_cases():
     assert operator_O([9, 0], [0, 9]).tolist() == [1, 0]
     with pytest.raises(ValueError):
         operator_O([1, 2], [1, 2, 3])
-    with pytest.raises(ValueError):
-        operator_O(
-            DigitBlock(np.array([1], dtype=np.uint8), offset=1),
-            DigitBlock(np.array([2], dtype=np.uint8), offset=2),
-        )
+    with pytest.raises(ValueError, match="one dimensional"):
+        operator_O(np.zeros((2, 2), dtype=np.uint8), np.zeros((2, 2), dtype=np.uint8))
     with pytest.raises(ValueError):
         operator_O([11], [3])
     # Checked before the uint8 cast, which would wrap 261 to 5 and cut 3.9 to 3.
@@ -361,6 +363,22 @@ def test_bits_to_decimal_reference(bits):
     assert got.tolist() == _reference_decimal(bits)
     if got.size:
         assert got.max() <= 9
+
+
+@pytest.mark.parametrize("k", [2, 3, 4, 5])
+def test_block_values_reference_and_memory(k):
+    bits = np.random.default_rng(k).integers(0, 2, size=1_000_000, dtype=np.uint8)
+    text = "".join(map(str, bits.tolist()))
+    expected = [int(text[i : i + k], 2) for i in range(0, bits.size - bits.size % k, k)]
+    tracemalloc.start()
+    try:
+        values = _block_values(bits, k)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert values.tolist() == expected
+    # The decode must not widen the bits: a cast to int64 costs 8 bytes per bit.
+    assert peak < 2 * bits.size
 
 
 def test_digits_stream_consistency(desk_config):

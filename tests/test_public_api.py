@@ -9,7 +9,7 @@ import pytest
 PUBLIC_NAMES = {
     "rootrand": [
         "__version__", "ConfigError", "StreamExhausted", "GeneratorConfig", "ScheduleEntry",
-        "StreamCache", "DigitBlock", "PrimeTable", "PrimePairSets", "TestReport", "BatchResult",
+        "StreamCache", "TestReport", "BatchResult",
         "DistributionSummary", "PairTally", "int_nth_root", "root_fractional_digits",
         "first_n_primes", "nth_prime", "prime_pair_sets", "schedule", "compare_digits",
         "operator_O", "concat", "generate_bits", "pair_stream", "bits_to_decimal", "digits_stream",
@@ -26,8 +26,8 @@ PUBLIC_NAMES = {
         "chi_square_critical", "transitions_test", "ngram_block_test", "batch_test",
         "ones_count_distribution", "pair_frequency_table", "TEST_RUNNERS", "DEFAULT_STRING_LENGTHS",
     ],
-    "rootrand.roots": ["DigitBlock", "int_nth_root", "root_fractional_digits"],
-    "rootrand.primes": ["PrimeTable", "PrimePairSets", "first_n_primes", "prime_pair_sets", "nth_prime", "is_prime"],
+    "rootrand.roots": ["int_nth_root", "root_fractional_digits"],
+    "rootrand.primes": ["first_n_primes", "prime_pair_sets", "nth_prime", "is_prime"],
     "rootrand.cli": ["RunManifest", "main", "build_parser", "load_config_file", "resolve_config"],
 }
 

@@ -12,7 +12,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import rootrand.roots as roots_mod
-from rootrand import DigitBlock, first_n_primes, int_nth_root, root_fractional_digits
+from rootrand import first_n_primes, int_nth_root, root_fractional_digits
 from rootrand.roots import _newton_nth_root
 
 # Digits 51..70 of the cube roots of 5 and 17, cross-checked below
@@ -129,7 +129,7 @@ def test_fallback_leaves_int_str_cap_alone(default_int_str_cap, monkeypatch):
     assert digest == "be23146edf528f89c1aaf852046f6511adb310c2828c1c8dfbb8d3d4ece67d22"
 
 
-_PRIMES_BELOW_1E5 = first_n_primes(9592).primes  # 99991 is the 9592nd prime
+_PRIMES_BELOW_1E5 = first_n_primes(9592)  # 99991 is the 9592nd prime
 
 
 @st.composite
@@ -341,17 +341,3 @@ def test_empty_window_far_out(backend):
     with pytest.raises(ValueError):
         root_fractional_digits(4, 2, 10**9, 0)
 
-
-def test_digit_block():
-    block = DigitBlock.from_root(5, 3, 51, 3)
-    assert len(block) == 3
-    assert block.offset == 51
-    assert block.digits.tolist() == [4, 9, 2]
-    with pytest.raises(ValueError):
-        DigitBlock(np.array([1, 2, 3], dtype=np.uint8), offset=0)
-    with pytest.raises(ValueError):
-        DigitBlock(np.array([4, 12], dtype=np.uint8), offset=1)
-    with pytest.raises(ValueError):
-        DigitBlock(np.array([3, 261]), offset=1)
-    with pytest.raises(ValueError):
-        DigitBlock(np.zeros((2, 2), dtype=np.uint8), offset=1)

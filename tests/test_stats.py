@@ -353,12 +353,6 @@ def test_pair_table_matches_pair_stream(desk_config):
     assert np.array_equal(tally.counts, expected)
 
 
-def test_pair_table_rounding(worked_config):
-    tally = pair_frequency_table(worked_config, 50)
-    rounded = tally.frequencies(decimals=5)
-    assert np.all(np.abs(rounded - tally.frequencies()) <= 5e-6)
-
-
 def test_pair_table_read_only(desk_config):
     tally = pair_frequency_table(desk_config, 1000)
     with pytest.raises(ValueError):
