@@ -39,7 +39,8 @@ from .generator import (
     digits_stream,
     generate_bits,
 )
-from .roots import _floor_root, int_nth_root
+from .primes import first_n_primes
+from .roots import _floor_root
 from .stats import (
     DEFAULT_STRING_LENGTHS,
     _chi_square_report,
@@ -350,14 +351,19 @@ def _worked_example_check():
 
 
 def _root_spot_check(samples: int = 500):
+    # The floor root every stream digit comes from, checked again in plain
+    # ints: a second arithmetic behind the one that proved it.
+    primes = first_n_primes(9592)  # every prime below 10**5
     rng = np.random.default_rng(20260819)
     for _ in range(samples):
-        digits = int(rng.integers(1, 120))
-        x = int(rng.integers(0, 10 ** min(digits, 18))) * 10 ** max(0, digits - 18)
+        p = int(rng.choice(primes))
         r = int(rng.choice([2, 3, 5, 7, 11]))
-        t = int_nth_root(x, r)
-        if not (t ** r <= x < (t + 1) ** r):
-            return False, f"floor root bracket failed at x={x}, r={r}"
+        depth = int(rng.integers(0, 301))
+        t, exact = _floor_root(p, r, depth)
+        t, x = int(t), p * 10 ** (r * depth)
+        low = t ** r
+        if not (low <= x < (t + 1) ** r and bool(exact) == (low == x)):
+            return False, f"floor root bracket failed at p={p}, r={r}, depth={depth}"
     return True, f"{samples} random floor-root brackets hold"
 
 

@@ -7,9 +7,13 @@ positions. Those digits are exact and do not change when D grows.
 
 _floor_root computes that integer root for every window, and whether it
 is exact: with gmpy2 when it imports, else in the standard library's
-``decimal``, whose multiplication and division stay fast at a hundred
-thousand digits and whose output is already decimal, with every result
-proved by an exact bracket. int_nth_root never uses gmpy2.
+``decimal``, whose multiplication stays fast at a hundred thousand digits
+and whose output is already decimal. There, Newton's method on the inverse
+root, z <- z + z*(1 - p*z**r)/r, converges to p**(-1/r) and divides only
+by the small int r; p*z**(r-1) is then the root. Every result T is proved
+before use with one exact power chain: 0 <= x - T**r < r*T**(r-1) implies
+T**r <= x < (T+1)**r, because (T+1)**r - T**r >= r*T**(r-1).
+int_nth_root never uses gmpy2.
 """
 
 from __future__ import annotations
@@ -72,12 +76,17 @@ _REPAIR_STEPS = 4
 
 
 def _newton_floor(p: int, r: int, depth: int) -> Decimal:
-    """floor(p ** (1/r) * 10**depth) by Newton's method in decimal.
+    """floor(p ** (1/r) * 10**depth) by a division-free Newton iteration.
 
-    Each step roughly doubles the correct digits, so the precision doubles
-    from step to step up to depth plus guard digits. Rounding can still
-    leave the result one off the true floor; _floor_root checks and
-    repairs it.
+    Newton's method on z**-r - p, z <- z + z*(1 - p*z**r)/r, converges to
+    z = p ** (-1/r) with only multiplications and a division by the small
+    int r. Each step roughly doubles the correct digits, so the precision
+    doubles from step to step up to depth plus guard digits. The last step
+    is taken on y = p*z**(r-1), the root itself, which spares a power chain
+    at full precision: p ** (1/r) = y * (y*z) ** (-(r-1)/r), so with
+    d = 1 - y*z, y <- y + y*d*(r-1)/r. The result is floor(y * 10**depth).
+    Rounding can still leave it one off the true floor; _floor_root checks
+    and repairs it.
     """
     e = math.log10(p) / r
     lead = math.floor(e)
@@ -88,22 +97,29 @@ def _newton_floor(p: int, r: int, depth: int) -> Decimal:
     while levels[-1] > 2 * slack + 20:
         levels.append(levels[-1] // 2 + slack)
     ctx = Context(prec=levels[-1], Emax=MAX_EMAX, Emin=MIN_EMIN)
-    y = ctx.scaleb(Decimal(10 ** (e - lead)), lead)  # the only float: a ~15-digit estimate
-    for prec in reversed(levels):
+    z = ctx.scaleb(Decimal(10 ** (lead - e)), -lead)  # the only float: a ~15-digit estimate
+    for prec in reversed(levels[1:]):
         ctx.prec = prec
-        # y <- ((r - 1) * y + p / y**(r - 1)) / r
-        y = ctx.divide(ctx.add(ctx.multiply(r - 1, y), ctx.divide(p, ctx.power(y, r - 1))), r)
+        d = ctx.subtract(1, ctx.multiply(p, ctx.power(z, r)))
+        z = ctx.add(z, ctx.divide(ctx.multiply(z, d), r))
+    ctx.prec = levels[0]
+    y = ctx.multiply(p, ctx.power(z, r - 1))
+    d = ctx.subtract(1, ctx.multiply(y, z))
+    y = ctx.add(y, ctx.divide(ctx.multiply(ctx.multiply(y, d), r - 1), r))
     return ctx.scaleb(y, depth).to_integral_value(rounding=ROUND_FLOOR)
 
 
 def _floor_root(p: int, r: int, depth: int):
     """(T, exact) for T = floor((p * 10**(r*depth)) ** (1/r)), like gmpy2.iroot.
 
-    exact tells whether T**r equals the radicand. Without gmpy2, T from
-    _newton_floor must satisfy T**r <= p * 10**(r*depth) < (T+1)**r,
-    evaluated in a context wide enough to hold both powers, with Inexact
-    trapped so that no operation can round. A T that misses is moved by one
-    at a time, at most _REPAIR_STEPS times.
+    exact tells whether T**r equals the radicand x. Without gmpy2, T from
+    _newton_floor is accepted when 0 <= x - T**r < r*T**(r-1), which needs
+    the one exact power chain T**(r-1), T*T**(r-1) and implies
+    x < (T+1)**r, since (T+1)**r - T**r >= r*T**(r-1). Only where that test
+    is inconclusive is (T+1)**r computed. Every step runs in a context wide
+    enough to hold (T+1)**r, with Inexact trapped so that no operation can
+    round. A T that misses is moved by one at a time, at most
+    _REPAIR_STEPS times.
     """
     if _HAVE_GMPY2:
         return gmpy2.iroot(gmpy2.mpz(p) * gmpy2.mpz(10) ** (r * depth), r)
@@ -112,13 +128,16 @@ def _floor_root(p: int, r: int, depth: int):
     exact.traps[Inexact] = True
     x = exact.scaleb(p, r * depth)
     for _ in range(_REPAIR_STEPS):
-        low = exact.power(t, r)
-        if low > x:
+        below = exact.power(t, r - 1)
+        rest = exact.subtract(x, exact.multiply(t, below))
+        if rest < 0:
             t = exact.subtract(t, 1)
+        elif rest < exact.multiply(r, below):
+            return t, not rest
         elif exact.power(exact.add(t, 1), r) <= x:
             t = exact.add(t, 1)
         else:
-            return t, low == x
+            return t, False
     raise ArithmeticError(f"Newton estimate of {p}**(1/{r}) at {depth} digits is off by more than {_REPAIR_STEPS}")
 
 

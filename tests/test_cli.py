@@ -8,7 +8,7 @@ import sys
 import numpy as np
 import pytest
 
-from rootrand import GeneratorConfig, bits_to_decimal, digits_stream, generate_bits
+from rootrand import GeneratorConfig, bits_to_decimal, cli, digits_stream, generate_bits
 from rootrand.cli import RunManifest, load_config_file, main
 
 WORKED_CFG = """\
@@ -199,6 +199,17 @@ def test_repro_desk_smoke(tmp_path):
         assert len(list(csv.DictReader(fh))) == 5
     for path in manifest.outputs:
         assert (out_dir / path).exists() or out_dir.parent.joinpath(path).exists()
+
+
+def test_root_spot_check_tests_the_stream_root(monkeypatch):
+    # repro's "integer root brackets" row must fail when the floor root the
+    # stream uses is wrong.
+    assert cli._root_spot_check(samples=20) == (True, "20 random floor-root brackets hold")
+    floor_root = cli._floor_root
+    monkeypatch.setattr(cli, "_floor_root", lambda p, r, depth: (floor_root(p, r, depth)[0] + 1, False))
+    ok, detail = cli._root_spot_check(samples=20)
+    assert not ok
+    assert detail.startswith("floor root bracket failed at p=")
 
 
 def test_repro_full_scale_plan(tmp_path):

@@ -157,6 +157,18 @@ def test_decimal_fallback_matches_mpmath(p, r, window):
     assert "".join(map(str, got.tolist())) == expect
 
 
+@pytest.mark.parametrize("depth", [0, 1, 50, 2000])
+@pytest.mark.parametrize("r", [2, 3, 5, 7, 13, 101])
+def test_decimal_floor_root_matches_sympy(monkeypatch, sympy, r, depth):
+    # The one-power proof 0 <= x - T**r < r*T**(r-1) must give the same
+    # (T, exact) as an independent integer root, perfect powers included.
+    _force_fallback(monkeypatch)
+    radicands = (2, 3, 99991) + {3: (8,), 5: (32,)}.get(r, ())
+    for p in radicands:
+        t, exact = roots_mod._floor_root(p, r, depth)
+        assert (int(t), exact) == sympy.integer_nthroot(p * 10 ** (r * depth), r)
+
+
 _NEWTON_FLOOR = roots_mod._newton_floor
 
 
