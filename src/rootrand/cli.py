@@ -43,9 +43,10 @@ from .primes import first_n_primes
 from .roots import _floor_root
 from .stats import (
     DEFAULT_STRING_LENGTHS,
-    _chi_square_report,
     batch_test,
+    binomial_band,
     chi_square_critical,
+    digit_uniformity,
     ones_count_distribution,
     pair_frequency_table,
 )
@@ -295,8 +296,7 @@ def cmd_test(args, config):
         lines.append(f"digit pairs: {tally.total} compared")
         lines.append(f"  off-diagonal frequency range [{freq[off].min():.5f}, {freq[off].max():.5f}]")
         lines.append(f"  tie frequency range [{freq[~off].min():.5f}, {freq[~off].max():.5f}]")
-        gap = float(np.abs(freq - freq.T).max())
-        lines.append(f"  largest swap asymmetry {gap:.5f}")
+        lines.append(f"  largest swap asymmetry {tally.asymmetry():.5f}")
         lines.append("")
 
     if run_dist:
@@ -331,13 +331,6 @@ def cmd_test(args, config):
     options = {"suite": args.suite, "strings": str(args.strings), "alpha": str(args.alpha),
                "pairs": str(args.pairs)}
     return out, "ok", options, {"suites_run": len(run_chi) + int(run_pairs) + int(run_dist)}, outputs
-
-
-def _binomial_band(n: int, p: float = 0.05) -> tuple[int, int]:
-    # Outward-rounded 3 sigma band around the binomial mean.
-    mu = n * p
-    sigma = math.sqrt(n * p * (1 - p))
-    return max(0, math.floor(mu - 3 * sigma)), math.ceil(mu + 3 * sigma)
 
 
 def _worked_example_check():
@@ -382,51 +375,37 @@ def _determinism_check(config, workers):
     return ok, f"two fresh runs and a {max(2, workers)}-worker run agree on {n} bits"
 
 
-def _digit_uniformity(config, segments, segment_len, alpha, workers):
-    digits, _ = digits_stream(config, segments * segment_len, workers)
-    return [
-        _chi_square_report("digits", np.bincount(seg, minlength=10), segment_len / 10.0, alpha)
-        for seg in digits.reshape(segments, segment_len)
-    ]
-
-
 def cmd_repro(args, config):
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     full_scale = args.scale == "paper"
 
-    strings = args.strings if args.strings is not None else 1000
     dist_strings = args.dist_strings if args.dist_strings is not None else (100_000 if full_scale else 10_000)
     pairs = args.pairs if args.pairs is not None else (50_000_000 if full_scale else 1_000_000)
-    segments = args.segments if args.segments is not None else 100
 
     if full_scale and not args.yes:
-        plan = _full_scale_plan(config, strings, dist_strings, pairs)
+        plan = _full_scale_plan(config, args.strings, dist_strings, pairs)
         plan_path = out_dir / "plan.txt"
         plan_path.write_text(plan, encoding="utf-8")
         print(plan)
         print(f"plan written to {plan_path}; rerun with --yes to execute")
         options = {"scale": args.scale, "yes": "false"}
-        counts = {"strings": strings, "dist_strings": dist_strings, "pairs": pairs}
+        counts = {"strings": args.strings, "dist_strings": dist_strings, "pairs": pairs}
         return out_dir / "repro", "plan-only", options, counts, [str(plan_path)]
 
-    checks: list[tuple[str, bool, str]] = []
+    checks: list[tuple[str, bool, str]] = [
+        ("worked-example bits", *_worked_example_check()),
+        ("integer root brackets", *_root_spot_check()),
+        ("chi-square critical values", *_chi2_check()),
+        ("determinism and workers", *_determinism_check(config, args.workers)),
+    ]
     outputs: list[str] = []
 
-    ok, detail = _worked_example_check()
-    checks.append(("worked-example bits", ok, detail))
-    ok, detail = _root_spot_check()
-    checks.append(("integer root brackets", ok, detail))
-    ok, detail = _chi2_check()
-    checks.append(("chi-square critical values", ok, detail))
-    ok, detail = _determinism_check(config, args.workers)
-    checks.append(("determinism and workers", ok, detail))
-
     results = [
-        batch_test(config, suite, strings, DEFAULT_STRING_LENGTHS[suite], args.alpha, args.workers)
+        batch_test(config, suite, args.strings, DEFAULT_STRING_LENGTHS[suite], args.alpha, args.workers)
         for suite in _CHI_SUITES
     ]
-    lo, hi = _binomial_band(strings, args.alpha)
+    lo, hi = binomial_band(args.strings, args.alpha)
     battery_path = out_dir / "table_battery.csv"
     _write_csv(
         battery_path,
@@ -472,11 +451,11 @@ def cmd_repro(args, config):
         ("pair frequencies near 0.01", in_range,
          f"range [{freq.min():.5f}, {freq.max():.5f}] over {tally.total} pairs")
     )
-    gap = float(np.abs(freq - freq.T).max())
+    gap = tally.asymmetry()
     checks.append(("pair swap symmetry", gap <= 0.001, f"largest |f(i,j) - f(j,i)| = {gap:.5f}"))
 
     seg_len = 100_000
-    reports = _digit_uniformity(config, segments, seg_len, args.alpha, args.workers)
+    reports = digit_uniformity(config, args.segments, seg_len, args.alpha, args.workers)
     seg_path = out_dir / "digit_segments.csv"
     _write_csv(
         seg_path,
@@ -488,10 +467,10 @@ def cmd_repro(args, config):
     )
     outputs.append(str(seg_path))
     passed = sum(rep.passed for rep in reports)
-    need = math.ceil(0.95 * segments)
+    need = math.ceil(0.95 * args.segments)
     checks.append(
         ("decimal digit uniformity", passed >= need,
-         f"{passed}/{segments} segments of {seg_len} digits pass chi-square(9)")
+         f"{passed}/{args.segments} segments of {seg_len} digits pass chi-square(9)")
     )
 
     all_ok = all(ok for _, ok, _ in checks)
@@ -506,10 +485,10 @@ def cmd_repro(args, config):
     print("\n".join(lines))
 
     counts = {
-        "strings": strings,
+        "strings": args.strings,
         "dist_strings": dist_strings,
         "pairs": pairs,
-        "segments": segments,
+        "segments": args.segments,
         "checks_passed": sum(ok for _, ok, _ in checks),
         "checks_total": len(checks),
     }
@@ -618,10 +597,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--scale", choices=("desk", "paper"), default="desk")
     p.add_argument("--out", default="repro_out", help="output directory")
     p.add_argument("--alpha", type=float, default=0.05)
-    p.add_argument("--strings", type=int, default=None, help="battery strings per test")
+    p.add_argument("--strings", type=int, default=1000, help="battery strings per test")
     p.add_argument("--dist-strings", dest="dist_strings", type=int, default=None)
     p.add_argument("--pairs", type=int, default=None)
-    p.add_argument("--segments", type=int, default=None, help="digit uniformity segments")
+    p.add_argument("--segments", type=int, default=100, help="digit uniformity segments")
     p.add_argument("--yes", action="store_true", help="confirm the full-scale run")
     p.set_defaults(func=cmd_repro)
 

@@ -15,7 +15,7 @@ from functools import lru_cache
 import numpy as np
 
 from ._checks import bit_array, int_arg
-from .generator import GeneratorConfig, _block_values, _pair_windows, shared_stream
+from .generator import GeneratorConfig, _block_values, _pair_windows, digits_stream, shared_stream
 
 __all__ = [
     "TestReport",
@@ -27,6 +27,8 @@ __all__ = [
     "transitions_test",
     "ngram_block_test",
     "batch_test",
+    "binomial_band",
+    "digit_uniformity",
     "ones_count_distribution",
     "pair_frequency_table",
     "TEST_RUNNERS",
@@ -295,6 +297,23 @@ def batch_test(
     )
 
 
+def binomial_band(n: int, p: float = 0.05) -> tuple[int, int]:
+    """Outward-rounded 3 sigma band of failure counts around the Binomial(n, p) mean."""
+    mu = n * p
+    sigma = math.sqrt(n * p * (1 - p))
+    return max(0, math.floor(mu - 3 * sigma)), math.ceil(mu + 3 * sigma)
+
+
+def digit_uniformity(config: GeneratorConfig, segments: int, segment_length: int, alpha: float = 0.05,
+                     workers: int = 1) -> tuple[TestReport, ...]:
+    """Chi-square(9) verdicts on the digit counts of consecutive segments of the stream's digits."""
+    digits, _ = digits_stream(config, int_arg("segments", segments, 1) * segment_length, workers)
+    return tuple(
+        _chi_square_report("digits", np.bincount(seg, minlength=10), segment_length / 10.0, alpha)
+        for seg in digits.reshape(segments, segment_length)
+    )
+
+
 # ---------------------------------------------------------------------------
 # ones-count distribution
 
@@ -356,6 +375,11 @@ class PairTally:
 
     def frequencies(self) -> np.ndarray:
         return self.counts / float(self.total)
+
+    def asymmetry(self) -> float:
+        """Largest |f(i, j) - f(j, i)| over the frequencies."""
+        f = self.frequencies()
+        return float(np.abs(f - f.T).max())
 
 
 def pair_frequency_table(config: GeneratorConfig, max_pairs: int) -> PairTally:

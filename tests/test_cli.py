@@ -136,6 +136,9 @@ def test_cli_error_paths(tmp_path, capsys):
         assert main(argv + ["--precision", "300", "--out", str(missing)]) == 2
         assert "error:" in capsys.readouterr().err
     assert not list(tmp_path.rglob("*.manifest"))
+    repro = ["repro", "--precision", "300", "--strings", "1", "--dist-strings", "1", "--pairs", "100"]
+    assert main(repro + ["--segments", "0", "--out", str(tmp_path / "repro")]) == 2
+    assert "segments" in capsys.readouterr().err
     with pytest.raises(SystemExit):
         main(["gen-bits", "--out", str(out)])  # --count is required
     with pytest.raises(SystemExit):

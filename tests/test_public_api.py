@@ -2,7 +2,9 @@
 each function listed here, so a name dropped from an __all__ silently
 loses its spans; a change to these lists is an API change."""
 
+import ast
 import importlib
+from pathlib import Path
 
 import pytest
 
@@ -23,8 +25,9 @@ PUBLIC_NAMES = {
     ],
     "rootrand.stats": [
         "TestReport", "BatchResult", "DistributionSummary", "PairTally", "chi_square_statistic",
-        "chi_square_critical", "transitions_test", "ngram_block_test", "batch_test",
-        "ones_count_distribution", "pair_frequency_table", "TEST_RUNNERS", "DEFAULT_STRING_LENGTHS",
+        "chi_square_critical", "transitions_test", "ngram_block_test", "batch_test", "binomial_band",
+        "digit_uniformity", "ones_count_distribution", "pair_frequency_table", "TEST_RUNNERS",
+        "DEFAULT_STRING_LENGTHS",
     ],
     "rootrand.roots": ["int_nth_root", "root_fractional_digits"],
     "rootrand.primes": ["first_n_primes", "prime_pair_sets", "nth_prime", "is_prime"],
@@ -37,3 +40,16 @@ def test_public_names_pinned(module):
     mod = importlib.import_module(module)
     assert mod.__all__ == PUBLIC_NAMES[module]
     assert all(hasattr(mod, name) for name in mod.__all__)
+
+
+def test_cli_imports_only_public_stats_names():
+    # Every statistic the CLI reports is computed behind the public stats API.
+    cli = Path(__file__).resolve().parent.parent / "src" / "rootrand" / "cli.py"
+    private = [
+        alias.name
+        for node in ast.walk(ast.parse(cli.read_text(encoding="utf-8")))
+        if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module == "stats"
+        for alias in node.names
+        if alias.name.startswith("_")
+    ]
+    assert private == []

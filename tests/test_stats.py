@@ -10,6 +10,7 @@ from rootrand import (
     batch_test,
     chi_square_critical,
     chi_square_statistic,
+    digits_stream,
     ngram_block_test,
     ones_count_distribution,
     pair_frequency_table,
@@ -19,9 +20,12 @@ from rootrand import (
 from rootrand.stats import (
     DEFAULT_STRING_LENGTHS,
     TEST_RUNNERS,
+    PairTally,
     _chi2_cdf,
     _gammainc_lower,
     _within_percents,
+    binomial_band,
+    digit_uniformity,
 )
 
 # ---------------------------------------------------------------------------
@@ -174,6 +178,18 @@ def test_transitions_random_string_passes():
     assert report.passed
 
 
+def test_ideal_source_failure_shares():
+    # The overlapping transition counts are not independent, so an ideal
+    # source fails the transitions row more often than alpha; the dyads row,
+    # over disjoint blocks of the same strings, stays calibrated. Seed 1 gives
+    # 7.60% and 4.95%; seeds 2 and 3 give 7.30% / 4.48% and 7.75% / 5.13%.
+    strings = np.random.default_rng(1).integers(0, 2, size=(4000, 8001), dtype=np.uint8)
+    transitions = np.mean([not transitions_test(s).passed for s in strings])
+    dyads = np.mean([not ngram_block_test(s[:8000], 2).passed for s in strings])
+    assert 0.065 <= transitions <= 0.090
+    assert 0.035 <= dyads <= 0.065
+
+
 @given(bits=st.lists(st.integers(min_value=0, max_value=1), min_size=2, max_size=300))
 @settings(max_examples=60)
 def test_transitions_count_identity(bits):
@@ -280,6 +296,22 @@ def test_batch_validation(desk_config):
         batch_test(desk_config, "dyads", 2, 0)
 
 
+def test_binomial_band():
+    assert binomial_band(1000, 0.05) == (29, 71)  # the acceptance gate's FAIL_BAND
+    assert binomial_band(20, 0.05) == (0, 4)  # the lower edge clipped at 0
+
+
+def test_digit_uniformity_matches_manual(desk_config):
+    reports = digit_uniformity(desk_config, 3, 1000)
+    digits, _ = digits_stream(desk_config, 3000)
+    assert [r.statistic for r in reports] == [
+        chi_square_statistic(np.bincount(seg, minlength=10), 100.0) for seg in digits.reshape(3, 1000)
+    ]
+    assert all(r.dof == 9 and r.passed == (r.statistic <= r.critical) for r in reports)
+    with pytest.raises(ValueError, match="segments"):
+        digit_uniformity(desk_config, 0, 1000)
+
+
 def test_default_lengths_cover_suites():
     assert set(DEFAULT_STRING_LENGTHS) == set(TEST_RUNNERS)
     assert DEFAULT_STRING_LENGTHS == {
@@ -342,6 +374,10 @@ def test_pair_table_totals(desk_config):
     assert int(tally.counts.sum()) == 30_000
     assert tally.counts.shape == (10, 10)
     assert tally.frequencies().sum() == pytest.approx(1.0)
+    freq = tally.frequencies()
+    assert tally.asymmetry() == float(np.abs(freq - freq.T).max())
+    symmetric = np.arange(100).reshape(10, 10)
+    assert PairTally(counts=symmetric + symmetric.T, total=9900).asymmetry() == 0.0
 
 
 def test_pair_table_matches_pair_stream(desk_config):
