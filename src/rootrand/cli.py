@@ -30,6 +30,7 @@ from pathlib import Path
 
 import numpy as np
 
+from ._checks import int_arg
 from .generator import (
     ConfigError,
     GeneratorConfig,
@@ -248,6 +249,11 @@ def cmd_test(args, config):
     run_chi = [s for s in _CHI_SUITES if args.suite in (s, "all")]
     run_pairs = args.suite in ("pairs", "all")
     run_dist = args.suite in ("distribution", "all")
+    # Counts are checked before the first file is written.
+    if run_chi or run_dist:
+        int_arg("--strings", args.strings, 1)
+    if run_pairs:
+        int_arg("--pairs", args.pairs, 1)
 
     out = Path(args.out)
     base = out.with_suffix("")
@@ -376,12 +382,15 @@ def _determinism_check(config, workers):
 
 
 def cmd_repro(args, config):
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     full_scale = args.scale == "paper"
-
     dist_strings = args.dist_strings if args.dist_strings is not None else (100_000 if full_scale else 10_000)
     pairs = args.pairs if args.pairs is not None else (50_000_000 if full_scale else 1_000_000)
+    # Counts are checked before the first file is written.
+    for flag, count in (("--strings", args.strings), ("--dist-strings", dist_strings), ("--pairs", pairs),
+                        ("--segments", args.segments)):
+        int_arg(flag, count, 1)
+    out_dir = Path(args.out)
+    out_dir.mkdir(parents=True, exist_ok=True)
 
     if full_scale and not args.yes:
         plan = _full_scale_plan(config, args.strings, dist_strings, pairs)
@@ -501,14 +510,12 @@ def _full_scale_plan(config, strings, dist_strings, pairs) -> str:
     bits_needed = max(strings * DEFAULT_STRING_LENGTHS["pentads"], dist_strings * 1000)
     entries_bits = math.ceil(bits_needed / (0.9 * window))
     entries_pairs = math.ceil(pairs / window)
-    # The pair table walks the schedule from its start again and recomputes
-    # its entries' roots, so they count apart.
-    roots = 2 * (entries_bits + entries_pairs)
+    # The pair table reads the stream's walk and extracts again only the
+    # entry its cut falls in, planned here as one more entry.
+    roots = 2 * max(entries_bits, entries_pairs) + 2
     # Root cost grows steeply with the degree, so time one root
     # per degree the planned entries use and weight it by their number.
-    per_degree = Counter()
-    for entries in (entries_bits, entries_pairs):
-        per_degree.update(e.root_degree for e in itertools.islice(_stream_entries(config), entries))
+    per_degree = Counter(e.root_degree for e in itertools.islice(_stream_entries(config), roots // 2))
     per_root = {}
     for degree in sorted(per_degree):
         t0 = time.perf_counter()

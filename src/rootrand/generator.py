@@ -160,21 +160,6 @@ def _entry_windows(config: GeneratorConfig, e: ScheduleEntry) -> tuple[np.ndarra
     )
 
 
-def _pair_windows(config: GeneratorConfig, max_pairs: int):
-    """Digit-window pairs of config's schedule in stream order, cut to max_pairs digit pairs in all."""
-    windows = map(partial(_entry_windows, config), _stream_entries(config))
-    total = 0
-    while total < max_pairs:
-        a, b = next(windows, (None, None))
-        if a is None:
-            raise StreamExhausted(
-                f"override schedule supplies only {total} digit pairs, {max_pairs} requested"
-            )
-        take = min(a.size, max_pairs - total)
-        yield a[:take], b[:take]
-        total += take
-
-
 def schedule(config: GeneratorConfig) -> list[ScheduleEntry]:
     """The comparison schedule of the config's own block, in (round, pair) order."""
     return list(_block_entries(config, config.block_index))
@@ -213,26 +198,28 @@ def concat(chunks) -> np.ndarray:
     return np.concatenate(parts) if parts else np.zeros(0, dtype=np.uint8)
 
 
-def _entry_bits(config: GeneratorConfig, e: ScheduleEntry) -> np.ndarray:
-    """The bits one schedule entry emits."""
-    return _compare(*_entry_windows(config, e))
+def _entry_output(config: GeneratorConfig, e: ScheduleEntry) -> tuple[np.ndarray, np.ndarray]:
+    """The bits one schedule entry emits and the counts of its 100 digit pairs (10 * left + right)."""
+    a, b = _entry_windows(config, e)
+    # No count can exceed the window, so its smallest type holds all 100.
+    return _compare(a, b), np.bincount(a * 10 + b, minlength=100).astype(np.min_scalar_type(config.window))
 
 
 class StreamCache:
-    """Materialized prefix of one configuration's bit stream.
+    """Materialized prefix of one configuration's bit stream and digit-pair counts.
 
-    Grows on demand and never mutates written bits, so any two requests
-    see consistent prefixes. generate_bits keeps one shared instance per
-    config; independent instances recompute from scratch, which is what
-    determinism checks want.
+    Each entry's roots are extracted once, for its bits and its pair counts.
+    Grows on demand and never mutates written output, so any two requests
+    see consistent prefixes. generate_bits and pair_frequency_table share one
+    instance per config; independent instances recompute from scratch, which
+    is what determinism checks want.
     """
 
     def __init__(self, config: GeneratorConfig):
         self.config = config
         self._entries = _stream_entries(config)
-        self._chunks: list[np.ndarray] = []
-        self._buf = np.zeros(0, dtype=np.uint8)
-        self._total = 0
+        self._bits = np.zeros(0, dtype=np.uint8)
+        self._pairs = np.zeros((0, 100), dtype=np.min_scalar_type(config.window))
         self._lock = threading.RLock()
 
     def prefix(self, n_bits: int, workers: int = 1) -> np.ndarray:
@@ -240,33 +227,47 @@ class StreamCache:
         int_arg("n_bits", n_bits, 0)
         int_arg("workers", workers, 1)
         with self._lock:
-            while self._total < n_bits:
-                self._extend(n_bits - self._total, workers)
-            if self._chunks:
-                self._buf = np.concatenate([self._buf] + self._chunks)
-                self._buf.setflags(write=False)
-                self._chunks.clear()
-            return self._buf[:n_bits]
+            while self._bits.size < n_bits:
+                # Ties run near 10 percent, so 0.88 bits per compared digit
+                # slightly overshoots and one wave usually suffices.
+                self._extend(math.ceil((n_bits - self._bits.size) / (0.88 * self.config.window)), workers)
+            return self._bits[:n_bits]
 
-    def _extend(self, deficit: int, workers: int):
-        # Ties run near 10 percent, so 0.88 bits per compared digit
-        # slightly overshoots and one wave usually suffices.
-        est = math.ceil(deficit / (0.88 * self.config.window))
-        entries = list(islice(self._entries, max(1, min(1024, est))))
+    def pair_counts(self, n_pairs: int) -> np.ndarray:
+        """Read-only 10x10 int64 counts of the stream's first n_pairs compared digit pairs.
+
+        Only the entry the cut falls in is extracted again.
+        """
+        whole, cut = divmod(int_arg("n_pairs", n_pairs, 0), self.config.window)
+        with self._lock:
+            while len(self._pairs) < whole + (cut > 0):
+                self._extend(whole + (cut > 0) - len(self._pairs), 1)
+            counts = self._pairs[:whole].sum(axis=0, dtype=np.int64)
+        if cut:
+            a, b = _entry_windows(self.config, next(islice(_stream_entries(self.config), whole, None)))
+            counts += np.bincount(a[:cut] * 10 + b[:cut], minlength=100)
+        counts = counts.reshape(10, 10)
+        counts.setflags(write=False)
+        return counts
+
+    def _extend(self, n_entries: int, workers: int):
+        entries = list(islice(self._entries, min(1024, n_entries)))
         if not entries:
             raise StreamExhausted(
-                f"override schedule exhausted after {self._total} bits; "
+                f"override schedule exhausted after {len(self._pairs)} entries ({self._bits.size} bits); "
                 "configs with explicit c1/c2 do not advance to new blocks"
             )
-        entry_bits = partial(_entry_bits, self.config)
+        entry_output = partial(_entry_output, self.config)
         if workers > 1 and len(entries) > 1:
             with ProcessPoolExecutor(max_workers=min(workers, len(entries))) as pool:
                 chunk = max(1, len(entries) // (workers * 4))
-                chunks = list(pool.map(entry_bits, entries, chunksize=chunk))
+                outputs = list(pool.map(entry_output, entries, chunksize=chunk))
         else:
-            chunks = list(map(entry_bits, entries))
-        self._chunks.extend(chunks)
-        self._total += sum(bits.size for bits in chunks)
+            outputs = list(map(entry_output, entries))
+        bits, counts = zip(*outputs)
+        self._bits = np.concatenate((self._bits, *bits))
+        self._pairs = np.vstack((self._pairs, *counts))
+        self._bits.setflags(write=False)
 
 
 _shared: dict[GeneratorConfig, StreamCache] = {}
@@ -292,13 +293,19 @@ def generate_bits(config: GeneratorConfig, max_bits: int, workers: int = 1) -> n
 
 
 def pair_stream(config: GeneratorConfig, max_pairs: int) -> np.ndarray:
-    """First max_pairs compared digit pairs as an (n, 2) uint8 array.
+    """First max_pairs compared digit pairs as an (n, 2) uint8 array, walked without the stream cache.
 
     Tied pairs are included; they occupy a schedule position even though
     they emit no bit.
     """
-    pairs = _pair_windows(config, int_arg("max_pairs", max_pairs, 0))
-    return np.concatenate([np.zeros((0, 2), dtype=np.uint8)] + [np.stack(w, axis=1) for w in pairs])
+    n = int_arg("max_pairs", max_pairs, 0)
+    entries = list(islice(_stream_entries(config), -(-n // config.window)))
+    if len(entries) * config.window < n:
+        raise StreamExhausted(
+            f"override schedule supplies only {len(entries) * config.window} digit pairs, {n} requested"
+        )
+    windows = [np.stack(_entry_windows(config, e), axis=1) for e in entries]
+    return np.concatenate([np.zeros((0, 2), dtype=np.uint8)] + windows)[:n]
 
 
 def _block_values(bits: np.ndarray, k: int) -> np.ndarray:

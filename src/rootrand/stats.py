@@ -15,7 +15,7 @@ from functools import lru_cache
 import numpy as np
 
 from ._checks import bit_array, int_arg
-from .generator import GeneratorConfig, _block_values, _pair_windows, digits_stream, shared_stream
+from .generator import GeneratorConfig, _block_values, digits_stream, shared_stream
 
 __all__ = [
     "TestReport",
@@ -383,14 +383,10 @@ class PairTally:
 
 
 def pair_frequency_table(config: GeneratorConfig, max_pairs: int) -> PairTally:
-    """Count the first max_pairs compared digit pairs into a 10x10 table.
+    """Count the first max_pairs compared digit pairs into a read-only 10x10 table.
 
-    Streams one schedule entry at a time, so the pair sequence is never
-    materialized; memory stays flat at any scale.
+    Reads the per-entry pair counts of the config's shared stream, so the
+    entries the bit stream has walked cost no root, and extracts again only
+    the entry the cut falls in.
     """
-    table = np.zeros(100, dtype=np.int64)
-    for a, b in _pair_windows(config, int_arg("max_pairs", max_pairs, 1)):
-        table += np.bincount(a.astype(np.int64) * 10 + b, minlength=100)
-    tally = PairTally(counts=table.reshape(10, 10), total=max_pairs)
-    tally.counts.setflags(write=False)
-    return tally
+    return PairTally(shared_stream(config).pair_counts(int_arg("max_pairs", max_pairs, 1)), max_pairs)

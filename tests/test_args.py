@@ -29,6 +29,7 @@ INT_ARGUMENTS = {
     "prime_pair_sets.block_index": ("block_index", 0, lambda cfg, v: prime_pair_sets(3, v)),
     "StreamCache.prefix.n_bits": ("n_bits", 0, lambda cfg, v: StreamCache(cfg).prefix(v)),
     "StreamCache.prefix.workers": ("workers", 1, lambda cfg, v: StreamCache(cfg).prefix(3, v)),
+    "StreamCache.pair_counts.n_pairs": ("n_pairs", 0, lambda cfg, v: StreamCache(cfg).pair_counts(v)),
     "generate_bits.max_bits": ("max_bits", 1, lambda cfg, v: generate_bits(cfg, v)),
     "pair_stream.max_pairs": ("max_pairs", 0, lambda cfg, v: pair_stream(cfg, v)),
     "digits_stream.count": ("count", 1, lambda cfg, v: digits_stream(cfg, v)),

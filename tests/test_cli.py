@@ -139,6 +139,11 @@ def test_cli_error_paths(tmp_path, capsys):
     repro = ["repro", "--precision", "300", "--strings", "1", "--dist-strings", "1", "--pairs", "100"]
     assert main(repro + ["--segments", "0", "--out", str(tmp_path / "repro")]) == 2
     assert "segments" in capsys.readouterr().err
+    assert main(["test", "--suite", "all", "--precision", "300", "--strings", "1", "--pairs", "0",
+                 "--out", str(tmp_path / "rep.csv")]) == 2
+    assert "--pairs" in capsys.readouterr().err
+    # A bad count fails before the first data file is written.
+    assert not list(tmp_path.glob("rep*"))
     with pytest.raises(SystemExit):
         main(["gen-bits", "--out", str(out)])  # --count is required
     with pytest.raises(SystemExit):
@@ -228,6 +233,8 @@ def test_repro_full_scale_plan(tmp_path):
     assert manifest.config.precision_digits == 100_000
     # The planned prefix stays inside round 1 here, so only r=2 is timed.
     assert re.findall(r"^ +r=(\d+) ", plan, re.M) == ["2"]
+    # 1112 stream entries cover the pair table's 501, plus its cut entry.
+    assert re.search(r"roots to extract +about (\d+)$", plan, re.M).group(1) == "2226"
     # At desk scale the prefix spans blocks, so every round degree is
     # timed and listed with its own cost.
     desk_dir = tmp_path / "desk_plan"
@@ -237,13 +244,15 @@ def test_repro_full_scale_plan(tmp_path):
     plan = (desk_dir / "plan.txt").read_text()
     assert re.findall(r"^ +r=(\d+) ", plan, re.M) == ["2", "3", "5", "7"]
     assert all(re.search(rf"^ +r={d} +\d+\.\d ms  x \d+ roots$", plan, re.M) for d in (2, 3, 5, 7))
-    # The stream's entries and the pair table's are extracted separately:
-    # 1000 pentad strings or 100000 distribution strings of bits at 0.9 bits
-    # per compared digit, and 50M digit pairs, over a 19950-digit window.
+    # The pair table reads the stream's walk, so each root counts once: the
+    # longer of the stream's entries (1000 pentad strings or 100000
+    # distribution strings of bits at 0.9 bits per compared digit) and the
+    # pair table's (50M digit pairs), over a 19950-digit window, plus the
+    # one entry the pair table's cut falls in.
     roots = int(re.search(r"roots to extract +about (\d+)$", plan, re.M).group(1))
     entries_bits = math.ceil(max(1000 * 64_000, 100_000 * 1000) / (0.9 * 19_950))
     entries_pairs = math.ceil(50_000_000 / 19_950)
-    assert roots == 2 * (entries_bits + entries_pairs)
+    assert roots == 2 * max(entries_bits, entries_pairs) + 2
     assert sum(int(n) for n in re.findall(r"ms  x (\d+) roots$", plan, re.M)) == roots
 
 

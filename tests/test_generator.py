@@ -18,6 +18,7 @@ from rootrand import (
     digits_stream,
     generate_bits,
     operator_O,
+    pair_frequency_table,
     pair_stream,
     schedule,
 )
@@ -251,6 +252,8 @@ def test_override_stream_exhausts(worked_config):
         cache.prefix(100)
     with pytest.raises(StreamExhausted):
         pair_stream(worked_config, 51)
+    with pytest.raises(StreamExhausted):
+        pair_frequency_table(worked_config, 51)
 
 
 # ---------------------------------------------------------------------------

@@ -5,12 +5,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import rootrand.roots as roots_mod
 import rootrand.stats as stats_mod
 from rootrand import (
+    GeneratorConfig,
+    StreamCache,
     batch_test,
     chi_square_critical,
     chi_square_statistic,
     digits_stream,
+    generate_bits,
     ngram_block_test,
     ones_count_distribution,
     pair_frequency_table,
@@ -380,13 +384,42 @@ def test_pair_table_totals(desk_config):
     assert PairTally(counts=symmetric + symmetric.T, total=9900).asymmetry() == 0.0
 
 
-def test_pair_table_matches_pair_stream(desk_config):
-    n = 25_000
-    tally = pair_frequency_table(desk_config, n)
-    pairs = pair_stream(desk_config, n)
+@pytest.mark.parametrize(
+    "config, n",
+    [
+        (GeneratorConfig(), 25_000),
+        (GeneratorConfig(), 2 * 19_950),
+        # No other test uses this config, so its table comes before any bits.
+        (GeneratorConfig(precision_digits=1050, block_index=5), 2_500),
+    ],
+    ids=["cut-inside-entry", "entry-boundary", "table-before-bits"],
+)
+def test_pair_table_matches_pair_stream(config, n):
+    tally = pair_frequency_table(config, n)
+    pairs = pair_stream(config, n)
     codes = pairs[:, 0].astype(np.int64) * 10 + pairs[:, 1]
     expected = np.bincount(codes, minlength=100).reshape(10, 10)
     assert np.array_equal(tally.counts, expected)
+    # The table's walk is the stream's walk.
+    assert np.array_equal(generate_bits(config, 3000), StreamCache(config).prefix(3000))
+
+
+def test_pair_table_reads_stream_roots(monkeypatch):
+    # Once the stream has walked the table's entries, the table extracts
+    # again only the entry its cut falls in, and none at an entry boundary.
+    config = GeneratorConfig(n_pairs=8, rounds=3, precision_digits=300)
+    generate_bits(config, 2000)
+    compute, calls = roots_mod._floor_root, []
+
+    def counted(p, r, depth):
+        calls.append((p, r, depth))
+        return compute(p, r, depth)
+
+    monkeypatch.setattr(roots_mod, "_floor_root", counted)
+    pair_frequency_table(config, 4 * config.window)
+    assert calls == []
+    pair_frequency_table(config, 4 * config.window + 7)
+    assert len(calls) <= 2
 
 
 def test_pair_table_read_only(desk_config):
