@@ -255,17 +255,22 @@ def cmd_test(args, config):
     if run_pairs:
         int_arg("--pairs", args.pairs, 1)
 
+    # Every table is computed before the first file is written, so a
+    # stream that runs short leaves no partial output.
+    results = [
+        batch_test(config, suite, args.strings, DEFAULT_STRING_LENGTHS[suite], args.alpha,
+                   args.workers, keep_reports=True)
+        for suite in run_chi
+    ]
+    tally = pair_frequency_table(config, args.pairs) if run_pairs else None
+    summary = ones_count_distribution(config, args.strings, 1000, args.workers) if run_dist else None
+
     out = Path(args.out)
     base = out.with_suffix("")
     outputs = []
     lines = [f"stream test report (alpha={args.alpha})", ""]
 
     if run_chi:
-        results = [
-            batch_test(config, suite, args.strings, DEFAULT_STRING_LENGTHS[suite], args.alpha,
-                       args.workers, keep_reports=True)
-            for suite in run_chi
-        ]
         _write_csv(
             out,
             ["suite", "n_strings", "string_length", "passed", "failed", "failed_percent", "alpha"],
@@ -293,20 +298,18 @@ def cmd_test(args, config):
             )
         lines.append("")
 
-    if run_pairs:
-        tally = pair_frequency_table(config, args.pairs)
+    if tally is not None:
         pairs_path = Path(str(base) + "_pairs.csv")
-        freq = _write_pair_table(pairs_path, tally)
+        _write_pair_table(pairs_path, tally)
         outputs.append(str(pairs_path))
-        off = ~np.eye(10, dtype=bool)
+        (off_lo, off_hi), (tie_lo, tie_hi) = tally.off_diagonal_range(), tally.tie_range()
         lines.append(f"digit pairs: {tally.total} compared")
-        lines.append(f"  off-diagonal frequency range [{freq[off].min():.5f}, {freq[off].max():.5f}]")
-        lines.append(f"  tie frequency range [{freq[~off].min():.5f}, {freq[~off].max():.5f}]")
+        lines.append(f"  off-diagonal frequency range [{off_lo:.5f}, {off_hi:.5f}]")
+        lines.append(f"  tie frequency range [{tie_lo:.5f}, {tie_hi:.5f}]")
         lines.append(f"  largest swap asymmetry {tally.asymmetry():.5f}")
         lines.append("")
 
-    if run_dist:
-        summary = ones_count_distribution(config, args.strings, 1000, args.workers)
+    if summary is not None:
         dist_path = Path(str(base) + "_distribution.csv")
         _write_csv(
             dist_path,
@@ -408,12 +411,18 @@ def cmd_repro(args, config):
         ("chi-square critical values", *_chi2_check()),
         ("determinism and workers", *_determinism_check(config, args.workers)),
     ]
-    outputs: list[str] = []
-
+    # Every table is computed before the first file is written, so a
+    # stream that runs short leaves no partial output.
     results = [
         batch_test(config, suite, args.strings, DEFAULT_STRING_LENGTHS[suite], args.alpha, args.workers)
         for suite in _CHI_SUITES
     ]
+    summary = ones_count_distribution(config, dist_strings, 1000, args.workers)
+    tally = pair_frequency_table(config, pairs)
+    seg_len = 100_000
+    reports = digit_uniformity(config, args.segments, seg_len, args.alpha, args.workers)
+    outputs: list[str] = []
+
     lo, hi = binomial_band(args.strings, args.alpha)
     battery_path = out_dir / "table_battery.csv"
     _write_csv(
@@ -433,7 +442,6 @@ def cmd_repro(args, config):
             (f"battery {r.test}", ok, f"failed {r.failed}/{r.n_strings}, band [{lo}, {hi}]")
         )
 
-    summary = ones_count_distribution(config, dist_strings, 1000, args.workers)
     dist_path = out_dir / "table_distribution.csv"
     observed = (summary.within_1s, summary.within_2s, summary.within_3s)
     _write_csv(
@@ -451,7 +459,6 @@ def cmd_repro(args, config):
             (f"ones within {k} sigma", ok, f"{obs:.2f}% vs reference {ref}% (tol {_WITHIN_TOLERANCE})")
         )
 
-    tally = pair_frequency_table(config, pairs)
     pairs_path = out_dir / "table_pairs.csv"
     freq = _write_pair_table(pairs_path, tally)
     outputs.append(str(pairs_path))
@@ -463,8 +470,6 @@ def cmd_repro(args, config):
     gap = tally.asymmetry()
     checks.append(("pair swap symmetry", gap <= 0.001, f"largest |f(i,j) - f(j,i)| = {gap:.5f}"))
 
-    seg_len = 100_000
-    reports = digit_uniformity(config, args.segments, seg_len, args.alpha, args.workers)
     seg_path = out_dir / "digit_segments.csv"
     _write_csv(
         seg_path,

@@ -10,16 +10,29 @@ is exact: with gmpy2 when it imports, else in the standard library's
 ``decimal``, whose multiplication stays fast at a hundred thousand digits
 and whose output is already decimal. There, Newton's method on the inverse
 root, z <- z + z*(1 - p*z**r)/r, converges to p**(-1/r) and divides only
-by the small int r; p*z**(r-1) is then the root. Every result T is proved
-before use with one exact power chain: 0 <= x - T**r < r*T**(r-1) implies
-T**r <= x < (T+1)**r, because (T+1)**r - T**r >= r*T**(r-1).
+by the small int r; y = p*z**(r-1) is then the root. Every result T is
+proved before use, in one of two ways:
+
+- A certificate from the last Newton step. With d = 1 - y*z, the identity
+  p**(1/r) = y * (1 - d)**(-(r-1)/r) holds exactly for any z > 0, and the
+  step y + y*d*(r-1)/r keeps its linear term. While |d| <= 10**-2 the
+  step's relative error, roundings included, is at most 2*d**2 + 4*u, with
+  u = 5*10**-P the rounding unit at the step's precision P (_newton_root
+  derives the bound). When that error interval around y*10**D holds no
+  integer, its floor is T and the root is irrational at that depth.
+- Otherwise, one exact power chain: 0 <= x - T**r < r*T**(r-1) implies
+  T**r <= x < (T+1)**r, because (T+1)**r - T**r >= r*T**(r-1). It runs
+  for perfect powers, whose root is an integer that no error interval
+  can exclude, for |d| > 10**-2, and for the rare y*10**D within the
+  bound of an integer.
+
 int_nth_root never uses gmpy2.
 """
 
 from __future__ import annotations
 
 import math
-from decimal import MAX_EMAX, MIN_EMIN, ROUND_FLOOR, Context, Decimal, Inexact
+from decimal import MAX_EMAX, MAX_PREC, MIN_EMIN, ROUND_CEILING, ROUND_FLOOR, Context, Decimal, Inexact
 
 import numpy as np
 
@@ -74,19 +87,58 @@ def _newton_nth_root(x: int, r: int) -> int:
 _GUARD_DIGITS = 10
 _REPAIR_STEPS = 4
 
+# The last Newton step certifies its floor only while |d| <= _CERT_D_MAX,
+# where the Taylor remainder is at most 2*d**2; the error bound is taken at
+# _CERT_PREC digits, rounded up.
+_CERT_D_MAX = Decimal("1e-2")
+_CERT_PREC = 20
+_TWO = Decimal(2)
 
-def _newton_floor(p: int, r: int, depth: int) -> Decimal:
-    """floor(p ** (1/r) * 10**depth) by a division-free Newton iteration.
+
+def _newton_root(p: int, r: int, depth: int):
+    """(v, err): v estimates V = p ** (1/r) * 10**depth, for r >= 2.
 
     Newton's method on z**-r - p, z <- z + z*(1 - p*z**r)/r, converges to
     z = p ** (-1/r) with only multiplications and a division by the small
     int r. Each step roughly doubles the correct digits, so the precision
-    doubles from step to step up to depth plus guard digits. The last step
-    is taken on y = p*z**(r-1), the root itself, which spares a power chain
-    at full precision: p ** (1/r) = y * (y*z) ** (-(r-1)/r), so with
-    d = 1 - y*z, y <- y + y*d*(r-1)/r. The result is floor(y * 10**depth).
-    Rounding can still leave it one off the true floor; _floor_root checks
-    and repairs it.
+    doubles from step to step up to P, the root's integer digits plus
+    depth plus _GUARD_DIGITS. The last step is taken on the root itself,
+    which spares a power chain at full precision: with y0 = p*z**(r-1) and
+    d = 1 - y0*z, it returns v = y1 * 10**depth, where
+    y1 = y0 + y0*d*(r-1)/r.
+
+    err is an upper bound on |V - v|, or None where |d| > 10**-2 (or
+    z <= 0), outside the bound's premise. The bound:
+
+    The identity. Let k = (r-1)/r and q = p*z**(r-1) exactly. For any
+    z > 0, q * (q*z)**-k = p**(1/r) * z**((r-1)/r - k) = p**(1/r). The
+    computed y0 is q*(1 + e1), and the exact D = 1 - y0*z is q*z*(1 + e1)
+    subtracted from 1, so p**(1/r) = y0 * (1 - D)**-k * (1 + e1)**(-1/r).
+    The step keeps the linear term of (1 - D)**-k = 1 + k*D + rho; what
+    earlier levels did is irrelevant.
+
+    The Taylor remainder. rho = k*(k+1)/2 * D**2 * (1 - s)**(-k-2) for
+    some s between 0 and D. With k < 1 and |D| <= 0.0101 that is at most
+    1.04 * D**2.
+
+    The roundings. Each correctly rounded operation at precision P has
+    relative error at most u = 5*10**-P, and P >= 11, so u <= 5e-11.
+    Left-to-right binary powering of z**(r-1), done with explicit
+    multiplications, compounds r-2 of them: squaring a result carrying m-1
+    rounding factors gives 2m-1, multiplying by z gives m. The product
+    by p adds one, so (1 + e1) lies between (1 - u)**(r-1) and
+    (1 + u)**(r-1), and |(1 + e1)**(-1/r) - 1| <= 1.01*u for every r.
+    The computed m = y0*z carries one rounding and 1 - m is exact (its
+    digits lie within m's), so with |d| <= 0.01, |D - d| <= 1.03*u, which
+    also gives |D| <= 0.0101 and |rho| <= 1.04*d**2 + 0.04*u. The
+    correction y0*d*(r-1)/r carries three roundings, at most 3.01*u
+    relative to a term at most 0.01*y0, and the final sum one more.
+    Collecting the terms, relative to y0 the step misses p**(1/r) by
+    1.03*u (from D - d) + 1.04*d**2 + 0.04*u (rho) + 1.01*u (e1) + u (the
+    sum) + 0.06*u (products of small terms); and y0 <= 1.0103*y1. So
+    |p**(1/r) - y1| <= (2*d**2 + 4*u) * y1.
+
+    The bound is evaluated rounding up, so err >= (2*d**2 + 4*u) * v.
     """
     e = math.log10(p) / r
     lead = math.floor(e)
@@ -103,27 +155,52 @@ def _newton_floor(p: int, r: int, depth: int) -> Decimal:
         d = ctx.subtract(1, ctx.multiply(p, ctx.power(z, r)))
         z = ctx.add(z, ctx.divide(ctx.multiply(z, d), r))
     ctx.prec = levels[0]
-    y = ctx.multiply(p, ctx.power(z, r - 1))
+    power = z
+    for bit in bin(r - 1)[3:]:
+        power = ctx.multiply(power, power)
+        if bit == "1":
+            power = ctx.multiply(power, z)
+    y = ctx.multiply(p, power)
     d = ctx.subtract(1, ctx.multiply(y, z))
     y = ctx.add(y, ctx.divide(ctx.multiply(ctx.multiply(y, d), r - 1), r))
-    return ctx.scaleb(y, depth).to_integral_value(rounding=ROUND_FLOOR)
+    v = ctx.scaleb(y, depth)
+    if z <= 0 or not -_CERT_D_MAX <= d <= _CERT_D_MAX:
+        return v, None
+    ctx.prec, ctx.rounding = _CERT_PREC, ROUND_CEILING
+    size = ctx.abs(d)
+    four_u = ctx.scaleb(_TWO, 1 - levels[0])
+    return v, ctx.multiply(ctx.add(ctx.multiply(_TWO, ctx.multiply(size, size)), four_u), v)
 
 
-def _floor_root(p: int, r: int, depth: int):
-    """(T, exact) for T = floor((p * 10**(r*depth)) ** (1/r)), like gmpy2.iroot.
+def _newton_floor(p: int, r: int, depth: int):
+    """(T, certified): T = floor(v) from _newton_root, for r >= 2.
 
-    exact tells whether T**r equals the radicand x. Without gmpy2, T from
-    _newton_floor is accepted when 0 <= x - T**r < r*T**(r-1), which needs
-    the one exact power chain T**(r-1), T*T**(r-1) and implies
-    x < (T+1)**r, since (T+1)**r - T**r >= r*T**(r-1). Only where that test
-    is inconclusive is (T+1)**r computed. Every step runs in a context wide
-    enough to hold (T+1)**r, with Inexact trapped so that no operation can
-    round. A T that misses is moved by one at a time, at most
-    _REPAIR_STEPS times.
+    certified is True only when T is proved to be floor(V) and V to be
+    irrational. V lies in [v - err, v + err]; if T < v - err and
+    v + err < T + 1, then T < V < T + 1, so T is the floor, and V, an r-th
+    root of an integer that is not itself an integer, is irrational.
+    Perfect powers never pass, since their V is an integer within err of
+    v, nor does a step that gave no err; the caller proves T then. The
+    comparisons are exact.
     """
-    if _HAVE_GMPY2:
-        return gmpy2.iroot(gmpy2.mpz(p) * gmpy2.mpz(10) ** (r * depth), r)
-    t = _newton_floor(p, r, depth)
+    v, err = _newton_root(p, r, depth)
+    t = v.to_integral_value(rounding=ROUND_FLOOR)
+    if err is None:
+        return t, False
+    exact = Context(prec=MAX_PREC, Emax=MAX_EMAX, Emin=MIN_EMIN)
+    return t, exact.add(t, err) < v and exact.add(v, err) < exact.add(t, 1)
+
+
+def _exact_floor(p: int, r: int, depth: int, t: Decimal):
+    """(T, exact) for the radicand x = p * 10**(r*depth), proved from the estimate t.
+
+    t is accepted when 0 <= x - t**r < r*t**(r-1), which needs the one
+    exact power chain t**(r-1), t*t**(r-1) and implies x < (t+1)**r, since
+    (t+1)**r - t**r >= r*t**(r-1). Only where that test is inconclusive is
+    (t+1)**r computed. Every step runs in a context wide enough to hold
+    (t+1)**r, with Inexact trapped so that no operation can round. A t
+    that misses is moved by one at a time, at most _REPAIR_STEPS times.
+    """
     exact = Context(prec=r * (t.adjusted() + 2), Emax=MAX_EMAX, Emin=MIN_EMIN)
     exact.traps[Inexact] = True
     x = exact.scaleb(p, r * depth)
@@ -139,6 +216,21 @@ def _floor_root(p: int, r: int, depth: int):
         else:
             return t, False
     raise ArithmeticError(f"Newton estimate of {p}**(1/{r}) at {depth} digits is off by more than {_REPAIR_STEPS}")
+
+
+def _floor_root(p: int, r: int, depth: int):
+    """(T, exact) for T = floor((p * 10**(r*depth)) ** (1/r)), like gmpy2.iroot.
+
+    exact tells whether T**r equals the radicand. Without gmpy2, T is the
+    floor that _newton_floor certified, with exact False, or else the one
+    that _exact_floor proves from its estimate.
+    """
+    if _HAVE_GMPY2:
+        return gmpy2.iroot(gmpy2.mpz(p) * gmpy2.mpz(10) ** (r * depth), r)
+    t, certified = _newton_floor(p, r, depth)
+    if certified:
+        return t, False
+    return _exact_floor(p, r, depth, t)
 
 
 # No stream walk asks for one (p, r) twice, so roots are not cached. The

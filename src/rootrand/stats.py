@@ -366,6 +366,9 @@ def ones_count_distribution(
 # digit-pair frequencies
 
 
+_TIES = np.eye(10, dtype=bool)
+
+
 @dataclass(frozen=True, eq=False)
 class PairTally:
     """10x10 counts of compared digit pairs (left digit, right digit)."""
@@ -380,6 +383,16 @@ class PairTally:
         """Largest |f(i, j) - f(j, i)| over the frequencies."""
         f = self.frequencies()
         return float(np.abs(f - f.T).max())
+
+    def off_diagonal_range(self) -> tuple[float, float]:
+        """(lowest, highest) frequency of the 90 pairs of unequal digits."""
+        f = self.frequencies()[~_TIES]
+        return float(f.min()), float(f.max())
+
+    def tie_range(self) -> tuple[float, float]:
+        """(lowest, highest) frequency of the 10 ties (i, i)."""
+        f = self.frequencies()[_TIES]
+        return float(f.min()), float(f.max())
 
 
 def pair_frequency_table(config: GeneratorConfig, max_pairs: int) -> PairTally:

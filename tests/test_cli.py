@@ -8,7 +8,7 @@ import sys
 import numpy as np
 import pytest
 
-from rootrand import GeneratorConfig, bits_to_decimal, cli, digits_stream, generate_bits
+from rootrand import GeneratorConfig, bits_to_decimal, cli, digits_stream, first_n_primes, generate_bits
 from rootrand.cli import RunManifest, load_config_file, main
 
 WORKED_CFG = """\
@@ -144,6 +144,26 @@ def test_cli_error_paths(tmp_path, capsys):
     assert "--pairs" in capsys.readouterr().err
     # A bad count fails before the first data file is written.
     assert not list(tmp_path.glob("rep*"))
+    # So does an override schedule that runs short of a later table: its
+    # n_pairs * rounds entries hold 250 digit pairs each, fewer than the
+    # pair table asks.
+    def short_schedule(n_pairs, rounds):
+        path = tmp_path / f"short{n_pairs}.cfg"
+        primes = first_n_primes(2 * n_pairs)
+        path.write_text(f"n_pairs = {n_pairs}\nrounds = {rounds}\nprecision_digits = 300\n"
+                        f"c1 = {','.join(map(str, primes[:n_pairs]))}\n"
+                        f"c2 = {','.join(map(str, primes[n_pairs:]))}\n")
+        return str(path)
+
+    assert main(["test", "--config", short_schedule(100, 4), "--suite", "all", "--strings", "1",
+                 "--pairs", "120000", "--out", str(tmp_path / "rep.csv")]) == 2
+    assert "exhausted" in capsys.readouterr().err
+    assert not list(tmp_path.glob("rep*"))
+    # 1200 entries: enough bits for the checks and the battery, not the pairs.
+    assert main(["repro", "--config", short_schedule(400, 3), "--strings", "1", "--dist-strings", "1",
+                 "--pairs", "300001", "--out", str(tmp_path / "short")]) == 2
+    assert "exhausted" in capsys.readouterr().err
+    assert not list((tmp_path / "short").iterdir())
     with pytest.raises(SystemExit):
         main(["gen-bits", "--out", str(out)])  # --count is required
     with pytest.raises(SystemExit):

@@ -4,6 +4,7 @@ import hashlib
 import sys
 import time
 import types
+from fractions import Fraction
 from unittest import mock
 
 import numpy as np
@@ -12,7 +13,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import rootrand.roots as roots_mod
-from rootrand import first_n_primes, int_nth_root, root_fractional_digits
+from rootrand import GeneratorConfig, StreamCache, first_n_primes, int_nth_root, root_fractional_digits
 from rootrand.roots import _newton_nth_root
 
 # Digits 51..70 of the cube roots of 5 and 17, cross-checked below
@@ -173,11 +174,12 @@ _NEWTON_FLOOR = roots_mod._newton_floor
 
 
 def _offset_newton(monkeypatch, offset):
-    """Move every decimal Newton result by offset units in its last place."""
+    """Move every decimal Newton result by offset units in its last place,
+    uncertified, so that the exact chain must repair it or give up."""
 
     def off(p, r, depth):
-        t = _NEWTON_FLOOR(p, r, depth)
-        return decimal.Context(prec=t.adjusted() + 2).add(t, offset)
+        t, _ = _NEWTON_FLOOR(p, r, depth)
+        return decimal.Context(prec=t.adjusted() + 2).add(t, offset), False
 
     monkeypatch.setattr(roots_mod, "_newton_floor", off)
 
@@ -198,6 +200,67 @@ def test_bracket_rejects_a_far_miss(monkeypatch):
         with pytest.raises(ArithmeticError, match="off by more than"):
             root_fractional_digits(5, 3, 1, 5000)
         assert time.perf_counter() - start < 5
+
+
+def test_certificate_is_sound():
+    # Wherever the last Newton step certifies its floor, a 25-digit deeper
+    # integer root agrees on T and puts the true value within err of v.
+    rng = np.random.default_rng(20261019)
+    primes = [int(p) for p in _PRIMES_BELOW_1E5]
+    accepted = 0
+    for _ in range(500):
+        p, r, depth = int(rng.choice(primes)), int(rng.choice([2, 3, 5, 7, 11, 281])), int(rng.integers(0, 401))
+        t, certified = roots_mod._newton_floor(p, r, depth)
+        if not certified:
+            continue
+        accepted += 1
+        v, err = roots_mod._newton_root(p, r, depth)
+        scale = 10**25
+        deep = int_nth_root(p * 10 ** (r * (depth + 25)), r)  # floor(V * scale)
+        assert deep // scale == int(t), (p, r, depth)
+        # V lies in [deep, deep + 1) / scale; it must meet [v - err, v + err].
+        low, high = (Fraction(v) - Fraction(err)) * scale, (Fraction(v) + Fraction(err)) * scale
+        assert low < deep + 1 and deep <= high, (p, r, depth)
+    assert accepted > 450
+
+
+@pytest.mark.parametrize("depth", [0, 3, 50])
+@pytest.mark.parametrize("p, r", [(4, 2), (8, 3), (32, 5), (2**11, 11)])
+def test_perfect_powers_are_never_certified(monkeypatch, p, r, depth):
+    _force_fallback(monkeypatch)
+    assert roots_mod._newton_floor(p, r, depth)[1] is False
+    t, exact = roots_mod._floor_root(p, r, depth)
+    assert exact and int(t) == 2 * 10**depth
+
+
+@pytest.mark.parametrize(
+    "v, err, want",
+    [("2.5", "1E-9", (2, True)), ("1.9999999995", "1E-9", (1, False)), ("2.0000000005", "1E-9", (2, False)),
+     ("2.0000000000", "1E-9", (2, False)), ("7.25", None, (7, False))],
+)
+def test_certificate_needs_an_interval_free_of_integers(monkeypatch, v, err, want):
+    # T is certified only when [v - err, v + err] lies strictly between T and T + 1.
+    step = (decimal.Decimal(v), None if err is None else decimal.Decimal(err))
+    monkeypatch.setattr(roots_mod, "_newton_root", lambda p, r, depth: step)
+    t, certified = roots_mod._newton_floor(2, 2, 0)
+    assert (int(t), certified) == want
+
+
+def test_certificate_spares_the_exact_chain(monkeypatch):
+    # 400 entries at 300 digits, a hundred each of r = 2, 3, 5 and 7: the
+    # certificate decides every root but at most one.
+    _force_fallback(monkeypatch)
+    config = GeneratorConfig(n_pairs=100, rounds=4, precision_digits=300)
+    exact, chains = roots_mod._exact_floor, []
+
+    def counted(p, r, depth, t):
+        chains.append((p, r, depth))
+        return exact(p, r, depth, t)
+
+    monkeypatch.setattr(roots_mod, "_exact_floor", counted)
+    counts = StreamCache(config).pair_counts(400 * config.window)
+    assert counts.sum() == 400 * config.window
+    assert len(chains) <= 1
 
 
 def test_fallback_matches_gmpy2(monkeypatch):

@@ -382,6 +382,12 @@ def test_pair_table_totals(desk_config):
     assert tally.asymmetry() == float(np.abs(freq - freq.T).max())
     symmetric = np.arange(100).reshape(10, 10)
     assert PairTally(counts=symmetric + symmetric.T, total=9900).asymmetry() == 0.0
+    off = ~np.eye(10, dtype=bool)
+    assert tally.off_diagonal_range() == (float(freq[off].min()), float(freq[off].max()))
+    assert tally.tie_range() == (float(freq[~off].min()), float(freq[~off].max()))
+    ramp = PairTally(counts=np.arange(100).reshape(10, 10), total=4950)
+    assert ramp.off_diagonal_range() == (1 / 4950, 98 / 4950)
+    assert ramp.tie_range() == (0.0, 99 / 4950)
 
 
 @pytest.mark.parametrize(
