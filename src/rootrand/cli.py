@@ -36,6 +36,7 @@ from .generator import (
     GeneratorConfig,
     StreamCache,
     StreamExhausted,
+    _entries_for_bits,
     _stream_entries,
     digits_stream,
     generate_bits,
@@ -245,11 +246,18 @@ def _write_pair_table(path: Path, tally) -> np.ndarray:
     return freq
 
 
+def _check_run_flags(args):
+    int_arg("--workers", args.workers, 1)
+    if not 0.0 < args.alpha < 1.0:
+        raise ValueError("--alpha must lie strictly between 0 and 1")
+
+
 def cmd_test(args, config):
     run_chi = [s for s in _CHI_SUITES if args.suite in (s, "all")]
     run_pairs = args.suite in ("pairs", "all")
     run_dist = args.suite in ("distribution", "all")
-    # Counts are checked before the first file is written.
+    # Flags and counts are checked before any stream work or file.
+    _check_run_flags(args)
     if run_chi or run_dist:
         int_arg("--strings", args.strings, 1)
     if run_pairs:
@@ -388,7 +396,8 @@ def cmd_repro(args, config):
     full_scale = args.scale == "paper"
     dist_strings = args.dist_strings if args.dist_strings is not None else (100_000 if full_scale else 10_000)
     pairs = args.pairs if args.pairs is not None else (50_000_000 if full_scale else 1_000_000)
-    # Counts are checked before the first file is written.
+    # Flags and counts are checked before any stream work or file.
+    _check_run_flags(args)
     for flag, count in (("--strings", args.strings), ("--dist-strings", dist_strings), ("--pairs", pairs),
                         ("--segments", args.segments)):
         int_arg(flag, count, 1)
@@ -511,10 +520,9 @@ def cmd_repro(args, config):
 
 
 def _full_scale_plan(config, strings, dist_strings, pairs) -> str:
-    window = config.window
     bits_needed = max(strings * DEFAULT_STRING_LENGTHS["pentads"], dist_strings * 1000)
-    entries_bits = math.ceil(bits_needed / (0.9 * window))
-    entries_pairs = math.ceil(pairs / window)
+    entries_bits = _entries_for_bits(config, bits_needed)
+    entries_pairs = math.ceil(pairs / config.window)
     # The pair table reads the stream's walk and extracts again only the
     # entry its cut falls in, planned here as one more entry.
     roots = 2 * max(entries_bits, entries_pairs) + 2

@@ -205,6 +205,12 @@ def _entry_output(config: GeneratorConfig, e: ScheduleEntry) -> tuple[np.ndarray
     return _compare(a, b), np.bincount(a * 10 + b, minlength=100).astype(np.min_scalar_type(config.window))
 
 
+def _entries_for_bits(config: GeneratorConfig, n_bits: int) -> int:
+    """Schedule entries expected to yield n_bits: ties run near 10 percent,
+    so each compared digit pair gives 0.9 bits."""
+    return math.ceil(n_bits / (0.9 * config.window))
+
+
 class StreamCache:
     """Materialized prefix of one configuration's bit stream and digit-pair counts.
 
@@ -228,9 +234,7 @@ class StreamCache:
         int_arg("workers", workers, 1)
         with self._lock:
             while self._bits.size < n_bits:
-                # Ties run near 10 percent, so 0.88 bits per compared digit
-                # slightly overshoots and one wave usually suffices.
-                self._extend(math.ceil((n_bits - self._bits.size) / (0.88 * self.config.window)), workers)
+                self._extend(_entries_for_bits(self.config, n_bits - self._bits.size), workers)
             return self._bits[:n_bits]
 
     def pair_counts(self, n_pairs: int) -> np.ndarray:

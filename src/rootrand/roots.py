@@ -20,11 +20,12 @@ proved before use, in one of two ways:
   u = 5*10**-P the rounding unit at the step's precision P (_newton_root
   derives the bound). When that error interval around y*10**D holds no
   integer, its floor is T and the root is irrational at that depth.
-- Otherwise, one exact power chain: 0 <= x - T**r < r*T**(r-1) implies
-  T**r <= x < (T+1)**r, because (T+1)**r - T**r >= r*T**(r-1). It runs
-  for perfect powers, whose root is an integer that no error interval
-  can exclude, for |d| > 10**-2, and for the rare y*10**D within the
-  bound of an integer.
+- Otherwise, by the integer Newton iteration of int_nth_root, whose last
+  loops enforce T**r <= x < (T+1)**r. It runs for perfect powers, whose
+  root is an integer that no error interval can exclude, for
+  |d| > 10**-2, and for the rare y*10**D within the bound of an integer.
+  x = p * 10**(r*D) is an r-th power exactly when p is, so the integer
+  root of p alone decides perfect powers.
 
 int_nth_root never uses gmpy2.
 """
@@ -32,7 +33,7 @@ int_nth_root never uses gmpy2.
 from __future__ import annotations
 
 import math
-from decimal import MAX_EMAX, MAX_PREC, MIN_EMIN, ROUND_CEILING, ROUND_FLOOR, Context, Decimal, Inexact
+from decimal import MAX_EMAX, MAX_PREC, MIN_EMIN, ROUND_CEILING, ROUND_FLOOR, Context, Decimal
 
 import numpy as np
 
@@ -82,10 +83,8 @@ def _newton_nth_root(x: int, r: int) -> int:
     return guess
 
 
-# Digits carried beyond the requested depth by the decimal Newton iteration,
-# and the most +-1 corrections the exact bracket may make to its result.
+# Digits carried beyond the requested depth by the decimal Newton iteration.
 _GUARD_DIGITS = 10
-_REPAIR_STEPS = 4
 
 # The last Newton step certifies its floor only while |d| <= _CERT_D_MAX,
 # where the Taylor remainder is at most 2*d**2; the error bound is taken at
@@ -191,46 +190,23 @@ def _newton_floor(p: int, r: int, depth: int):
     return t, exact.add(t, err) < v and exact.add(v, err) < exact.add(t, 1)
 
 
-def _exact_floor(p: int, r: int, depth: int, t: Decimal):
-    """(T, exact) for the radicand x = p * 10**(r*depth), proved from the estimate t.
-
-    t is accepted when 0 <= x - t**r < r*t**(r-1), which needs the one
-    exact power chain t**(r-1), t*t**(r-1) and implies x < (t+1)**r, since
-    (t+1)**r - t**r >= r*t**(r-1). Only where that test is inconclusive is
-    (t+1)**r computed. Every step runs in a context wide enough to hold
-    (t+1)**r, with Inexact trapped so that no operation can round. A t
-    that misses is moved by one at a time, at most _REPAIR_STEPS times.
-    """
-    exact = Context(prec=r * (t.adjusted() + 2), Emax=MAX_EMAX, Emin=MIN_EMIN)
-    exact.traps[Inexact] = True
-    x = exact.scaleb(p, r * depth)
-    for _ in range(_REPAIR_STEPS):
-        below = exact.power(t, r - 1)
-        rest = exact.subtract(x, exact.multiply(t, below))
-        if rest < 0:
-            t = exact.subtract(t, 1)
-        elif rest < exact.multiply(r, below):
-            return t, not rest
-        elif exact.power(exact.add(t, 1), r) <= x:
-            t = exact.add(t, 1)
-        else:
-            return t, False
-    raise ArithmeticError(f"Newton estimate of {p}**(1/{r}) at {depth} digits is off by more than {_REPAIR_STEPS}")
-
-
 def _floor_root(p: int, r: int, depth: int):
     """(T, exact) for T = floor((p * 10**(r*depth)) ** (1/r)), like gmpy2.iroot.
 
     exact tells whether T**r equals the radicand. Without gmpy2, T is the
-    floor that _newton_floor certified, with exact False, or else the one
-    that _exact_floor proves from its estimate.
+    floor that _newton_floor certified, with exact False, or else the
+    integer root: s * 10**depth where p = s**r, scaled without rounding,
+    or else the root of the whole radicand.
     """
     if _HAVE_GMPY2:
         return gmpy2.iroot(gmpy2.mpz(p) * gmpy2.mpz(10) ** (r * depth), r)
     t, certified = _newton_floor(p, r, depth)
     if certified:
         return t, False
-    return _exact_floor(p, r, depth, t)
+    s = _newton_nth_root(p, r)
+    if s**r == p:
+        return Context(prec=MAX_PREC, Emax=MAX_EMAX, Emin=MIN_EMIN).scaleb(Decimal(s), depth), True
+    return Decimal(_newton_nth_root(p * 10 ** (r * depth), r)), False
 
 
 # No stream walk asks for one (p, r) twice, so roots are not cached. The

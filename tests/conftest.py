@@ -1,6 +1,20 @@
+import os
+from pathlib import Path
+
 import pytest
 
+import rootrand
 from rootrand import GeneratorConfig
+
+
+@pytest.fixture(scope="session")
+def child_env():
+    """Environment for child interpreters: PYTHONPATH starts with the
+    directory rootrand was imported from, so they run the same checkout."""
+    env = dict(os.environ)
+    src = str(Path(rootrand.__file__).resolve().parent.parent)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+    return env
 
 
 @pytest.fixture(scope="session")

@@ -154,7 +154,7 @@ def test_criterion_6_chi_square_criticals(capsys):
         assert f"{got[dof]:.4g}" == f"{ref:.4g}"
 
 
-def test_criterion_7_determinism(capsys, tmp_path):
+def test_criterion_7_determinism(capsys, tmp_path, child_env):
     n = 2_000_000
     first = StreamCache(DESK).prefix(n)
     second = StreamCache(DESK).prefix(n)
@@ -173,6 +173,7 @@ def test_criterion_7_determinism(capsys, tmp_path):
              "--out", str(out)],
             capture_output=True,
             text=True,
+            env=child_env,
         )
         assert proc.returncode == 0, proc.stderr
         blobs.append(out.read_bytes())

@@ -4,6 +4,7 @@ import math
 import re
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -144,6 +145,21 @@ def test_cli_error_paths(tmp_path, capsys):
     assert "--pairs" in capsys.readouterr().err
     # A bad count fails before the first data file is written.
     assert not list(tmp_path.glob("rep*"))
+    # A bad --alpha or --workers fails before any stream work, file or directory.
+    flags = tmp_path / "flags"
+    flags.mkdir()
+    for flag, argv in (
+        ("--alpha", ["test", "--suite", "all", "--strings", "1000", "--precision", "300", "--alpha", "1.5",
+                     "--out", str(flags / "rep.csv")]),
+        ("--workers", ["test", "--suite", "pairs", "--workers", "0", "--out", str(flags / "rep.csv")]),
+        ("--alpha", ["repro", "--alpha", "0", "--out", str(flags / "repro")]),
+        ("--workers", ["repro", "--workers", "0", "--out", str(flags / "repro")]),
+    ):
+        start = time.perf_counter()
+        assert main(argv) == 2
+        assert flag in capsys.readouterr().err
+        assert time.perf_counter() - start < 1
+    assert not list(flags.iterdir())
     # So does an override schedule that runs short of a later table: its
     # n_pairs * rounds entries hold 250 digit pairs each, fewer than the
     # pair table asks.
@@ -276,7 +292,7 @@ def test_repro_full_scale_plan(tmp_path):
     assert sum(int(n) for n in re.findall(r"ms  x (\d+) roots$", plan, re.M)) == roots
 
 
-def test_module_entrypoint_rerun(worked_cfg_file, tmp_path):
+def test_module_entrypoint_rerun(worked_cfg_file, tmp_path, child_env):
     outs = []
     for name in ("m1.txt", "m2.txt"):
         out = tmp_path / name
@@ -285,6 +301,7 @@ def test_module_entrypoint_rerun(worked_cfg_file, tmp_path):
              "--count", "12", "--out", str(out)],
             capture_output=True,
             text=True,
+            env=child_env,
         )
         assert proc.returncode == 0, proc.stderr
         outs.append(out.read_bytes())
@@ -294,7 +311,7 @@ def test_module_entrypoint_rerun(worked_cfg_file, tmp_path):
     assert m1.replace("m1.txt", "x") == m2.replace("m2.txt", "x")
 
 
-def test_library_runs_without_test_only_dependencies(tmp_path):
+def test_library_runs_without_test_only_dependencies(tmp_path, child_env):
     # scipy, mpmath and sympy serve the tests only, and gmpy2 is optional:
     # the full battery must run with every one of them unimportable.
     script = (
@@ -306,7 +323,7 @@ def test_library_runs_without_test_only_dependencies(tmp_path):
         "sys.exit(main(['test', '--suite', 'all', '--precision', '300', '--strings', '2',\n"
         f"               '--pairs', '20000', '--out', {str(tmp_path / 'r.csv')!r}]))\n"
     )
-    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=child_env)
     assert proc.returncode == 0, proc.stderr
 
 

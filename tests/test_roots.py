@@ -112,7 +112,7 @@ def test_fallback_without_gmpy2(monkeypatch, default_int_str_cap):
     assert wide.size == 5000
     t = _scaled_root(1, wide)
     assert t**3 <= 5 * 10**15000 < (t + 1) ** 3
-    # The cap was lifted for the one conversion only.
+    # The fallback never converts a wide int to str, so the cap is as it was.
     if default_int_str_cap is not None:
         assert sys.get_int_max_str_digits() == default_int_str_cap
 
@@ -175,7 +175,7 @@ _NEWTON_FLOOR = roots_mod._newton_floor
 
 def _offset_newton(monkeypatch, offset):
     """Move every decimal Newton result by offset units in its last place,
-    uncertified, so that the exact chain must repair it or give up."""
+    uncertified, so that the integer fallback must answer instead."""
 
     def off(p, r, depth):
         t, _ = _NEWTON_FLOOR(p, r, depth)
@@ -185,21 +185,23 @@ def _offset_newton(monkeypatch, offset):
 
 
 def test_bracket_repairs_a_near_miss(monkeypatch):
+    # An uncertified estimate, near or far off, leaves the digits unchanged.
     _force_fallback(monkeypatch)
     want = root_fractional_digits(5, 3, 1, 5000)
-    for offset in (1, -1):
+    for offset in (1, -1, 1000, -1000):
         _offset_newton(monkeypatch, offset)
         assert np.array_equal(root_fractional_digits(5, 3, 1, 5000), want)
 
 
-def test_bracket_rejects_a_far_miss(monkeypatch):
+def test_step_without_a_bound_falls_back(monkeypatch):
+    # A last step that gives no error bound is never certified; the integer
+    # root then gives the same 20k digits as the certified run.
     _force_fallback(monkeypatch)
-    for offset in (1000, -1000):
-        _offset_newton(monkeypatch, offset)
-        start = time.perf_counter()
-        with pytest.raises(ArithmeticError, match="off by more than"):
-            root_fractional_digits(5, 3, 1, 5000)
-        assert time.perf_counter() - start < 5
+    want = root_fractional_digits(99991, 7, 1, 20000)
+    newton_root = roots_mod._newton_root
+    monkeypatch.setattr(roots_mod, "_newton_root", lambda p, r, depth: (newton_root(p, r, depth)[0], None))
+    assert roots_mod._newton_floor(99991, 7, 20000)[1] is False
+    assert np.array_equal(root_fractional_digits(99991, 7, 1, 20000), want)
 
 
 def test_certificate_is_sound():
@@ -233,6 +235,14 @@ def test_perfect_powers_are_never_certified(monkeypatch, p, r, depth):
     assert exact and int(t) == 2 * 10**depth
 
 
+def test_wide_perfect_power_root_is_not_rounded(monkeypatch):
+    # A 31-digit root scaled by 10**3: the default 28-digit context would round it.
+    _force_fallback(monkeypatch)
+    s = 10**30 + 7
+    t, exact = roots_mod._floor_root(s**2, 2, 3)
+    assert exact and int(t) == s * 10**3
+
+
 @pytest.mark.parametrize(
     "v, err, want",
     [("2.5", "1E-9", (2, True)), ("1.9999999995", "1E-9", (1, False)), ("2.0000000005", "1E-9", (2, False)),
@@ -248,19 +258,19 @@ def test_certificate_needs_an_interval_free_of_integers(monkeypatch, v, err, wan
 
 def test_certificate_spares_the_exact_chain(monkeypatch):
     # 400 entries at 300 digits, a hundred each of r = 2, 3, 5 and 7: the
-    # certificate decides every root but at most one.
+    # certificate decides every root, so none falls back to integer Newton.
     _force_fallback(monkeypatch)
     config = GeneratorConfig(n_pairs=100, rounds=4, precision_digits=300)
-    exact, chains = roots_mod._exact_floor, []
+    newton, calls = roots_mod._newton_nth_root, []
 
-    def counted(p, r, depth, t):
-        chains.append((p, r, depth))
-        return exact(p, r, depth, t)
+    def counted(x, r):
+        calls.append((x, r))
+        return newton(x, r)
 
-    monkeypatch.setattr(roots_mod, "_exact_floor", counted)
+    monkeypatch.setattr(roots_mod, "_newton_nth_root", counted)
     counts = StreamCache(config).pair_counts(400 * config.window)
     assert counts.sum() == 400 * config.window
-    assert len(chains) <= 1
+    assert calls == []
 
 
 def test_fallback_matches_gmpy2(monkeypatch):
