@@ -185,12 +185,24 @@ def _offset_newton(monkeypatch, offset):
 
 
 def test_bracket_repairs_a_near_miss(monkeypatch):
-    # An uncertified estimate, near or far off, leaves the digits unchanged.
+    # An uncertified estimate one unit off leaves the digits unchanged.
     _force_fallback(monkeypatch)
     want = root_fractional_digits(5, 3, 1, 5000)
-    for offset in (1, -1, 1000, -1000):
+    for offset in (1, -1):
         _offset_newton(monkeypatch, offset)
         assert np.array_equal(root_fractional_digits(5, 3, 1, 5000), want)
+
+
+def test_bracket_rejects_a_far_miss(monkeypatch):
+    # An estimate 1000 units off is never used: the integer root answers
+    # with the same digits, and no slower than a repair would.
+    _force_fallback(monkeypatch)
+    want = root_fractional_digits(5, 3, 1, 5000)
+    for offset in (1000, -1000):
+        _offset_newton(monkeypatch, offset)
+        start = time.perf_counter()
+        assert np.array_equal(root_fractional_digits(5, 3, 1, 5000), want)
+        assert time.perf_counter() - start < 5
 
 
 def test_step_without_a_bound_falls_back(monkeypatch):
