@@ -34,34 +34,25 @@ from ._checks import int_arg
 from .generator import (
     ConfigError,
     GeneratorConfig,
-    StreamCache,
     StreamExhausted,
     _entries_for_bits,
     _stream_entries,
     digits_stream,
     generate_bits,
 )
-from .primes import first_n_primes
 from .roots import _floor_root
 from .stats import (
     DEFAULT_STRING_LENGTHS,
     batch_test,
-    binomial_band,
-    chi_square_critical,
-    digit_uniformity,
     ones_count_distribution,
     pair_frequency_table,
+    repro_report,
 )
 
 __all__ = ["RunManifest", "main", "build_parser", "load_config_file", "resolve_config"]
 
 _CONFIG_INT_KEYS = ("n_pairs", "rounds", "precision_digits", "skip_digits", "block_index")
 _CONFIG_TUPLE_KEYS = ("c1", "c2", "degrees")
-
-# Within-k-sigma percentages of the reference full-scale run, used by repro.
-_REFERENCE_WITHIN = (68.27, 95.35, 99.72)
-_WITHIN_TOLERANCE = 1.5
-_NORMAL_WITHIN = (68.26895, 95.44997, 99.73002)
 
 _FULL_SCALE_CONFIG = dict(n_pairs=10_000, rounds=10_000, precision_digits=100_000, skip_digits=50)
 
@@ -231,19 +222,11 @@ def _write_csv(path: Path, header, rows):
         writer.writerows(rows)
 
 
-def _write_pair_table(path: Path, tally) -> np.ndarray:
-    """Write the 10x10 pair tally as one CSV row per digit pair; return its frequencies."""
+def _pair_table(tally):
+    """The 10x10 pair tally as a CSV header and one row per digit pair."""
     freq = tally.frequencies()
-    _write_csv(
-        path,
-        ["left_digit", "right_digit", "count", "frequency"],
-        [
-            (i, j, int(tally.counts[i, j]), f"{freq[i, j]:.5f}")
-            for i in range(10)
-            for j in range(10)
-        ],
-    )
-    return freq
+    rows = [(i, j, int(tally.counts[i, j]), f"{freq[i, j]:.5f}") for i in range(10) for j in range(10)]
+    return ["left_digit", "right_digit", "count", "frequency"], rows
 
 
 def _check_run_flags(args):
@@ -308,7 +291,7 @@ def cmd_test(args, config):
 
     if tally is not None:
         pairs_path = Path(str(base) + "_pairs.csv")
-        _write_pair_table(pairs_path, tally)
+        _write_csv(pairs_path, *_pair_table(tally))
         outputs.append(str(pairs_path))
         (off_lo, off_hi), (tie_lo, tie_hi) = tally.off_diagonal_range(), tally.tie_range()
         lines.append(f"digit pairs: {tally.total} compared")
@@ -350,48 +333,6 @@ def cmd_test(args, config):
     return out, "ok", options, {"suites_run": len(run_chi) + int(run_pairs) + int(run_dist)}, outputs
 
 
-def _worked_example_check():
-    config = GeneratorConfig(
-        n_pairs=1, rounds=1, precision_digits=100, skip_digits=50,
-        c1=(5,), c2=(17,), degrees=(3,),
-    )
-    bits = StreamCache(config).prefix(3)
-    ok = bits.tolist() == [0, 1, 0]
-    return ok, f"first bits of the 5 vs 17 cube-root pairing: {''.join(map(str, bits.tolist()))}"
-
-
-def _root_spot_check(samples: int = 500):
-    # The floor root every stream digit comes from, checked again in plain
-    # ints: a second arithmetic behind the one that proved it.
-    primes = first_n_primes(9592)  # every prime below 10**5
-    rng = np.random.default_rng(20260819)
-    for _ in range(samples):
-        p = int(rng.choice(primes))
-        r = int(rng.choice([2, 3, 5, 7, 11]))
-        depth = int(rng.integers(0, 301))
-        t, exact = _floor_root(p, r, depth)
-        t, x = int(t), p * 10 ** (r * depth)
-        low = t ** r
-        if not (low <= x < (t + 1) ** r and bool(exact) == (low == x)):
-            return False, f"floor root bracket failed at p={p}, r={r}, depth={depth}"
-    return True, f"{samples} random floor-root brackets hold"
-
-
-def _chi2_check():
-    targets = ((3, 7.8147279), (7, 14.0671404), (15, 24.9957901), (31, 44.9853433))
-    worst = max(abs(chi_square_critical(dof) - ref) for dof, ref in targets)
-    return worst < 5e-7, f"max deviation from reference 5% critical values {worst:.2e}"
-
-
-def _determinism_check(config, workers):
-    n = 200_000
-    a = StreamCache(config).prefix(n)
-    b = StreamCache(config).prefix(n)
-    c = StreamCache(config).prefix(n, workers=max(2, workers))
-    ok = bool(np.array_equal(a, b) and np.array_equal(a, c))
-    return ok, f"two fresh runs and a {max(2, workers)}-worker run agree on {n} bits"
-
-
 def cmd_repro(args, config):
     full_scale = args.scale == "paper"
     dist_strings = args.dist_strings if args.dist_strings is not None else (100_000 if full_scale else 10_000)
@@ -414,97 +355,37 @@ def cmd_repro(args, config):
         counts = {"strings": args.strings, "dist_strings": dist_strings, "pairs": pairs}
         return out_dir / "repro", "plan-only", options, counts, [str(plan_path)]
 
-    checks: list[tuple[str, bool, str]] = [
-        ("worked-example bits", *_worked_example_check()),
-        ("integer root brackets", *_root_spot_check()),
-        ("chi-square critical values", *_chi2_check()),
-        ("determinism and workers", *_determinism_check(config, args.workers)),
-    ]
     # Every table is computed before the first file is written, so a
     # stream that runs short leaves no partial output.
-    results = [
-        batch_test(config, suite, args.strings, DEFAULT_STRING_LENGTHS[suite], args.alpha, args.workers)
-        for suite in _CHI_SUITES
-    ]
-    summary = ones_count_distribution(config, dist_strings, 1000, args.workers)
-    tally = pair_frequency_table(config, pairs)
-    seg_len = 100_000
-    reports = digit_uniformity(config, args.segments, seg_len, args.alpha, args.workers)
-    outputs: list[str] = []
+    tables, checks = repro_report(config, args.strings, dist_strings, pairs, args.segments, args.alpha,
+                                  args.workers)
+    lo, hi = tables["band"]
+    csvs = {
+        "table_battery.csv": (
+            ["suite", "n_strings", "string_length", "passed", "failed", "failed_percent", "band_low", "band_high"],
+            [(r.test, r.n_strings, r.string_length, r.passed, r.failed, f"{r.failed_percent:.4f}", lo, hi)
+             for r in tables["battery"]],
+        ),
+        "table_distribution.csv": (
+            ["band", "observed_percent", "reference_percent", "normal_percent"],
+            [(k, f"{obs:.4f}", ref, norm) for k, (obs, ref, norm) in enumerate(tables["distribution"], start=1)],
+        ),
+        "table_pairs.csv": _pair_table(tables["pairs"]),
+        "digit_segments.csv": (
+            ["segment", "statistic", "critical", "passed"],
+            [(i, f"{rep.statistic:.4f}", f"{rep.critical:.7f}", int(rep.passed))
+             for i, rep in enumerate(tables["segments"])],
+        ),
+    }
+    for name, (header, rows) in csvs.items():
+        _write_csv(out_dir / name, header, rows)
+    outputs = [str(out_dir / name) for name in (*csvs, "summary.txt")]
 
-    lo, hi = binomial_band(args.strings, args.alpha)
-    battery_path = out_dir / "table_battery.csv"
-    _write_csv(
-        battery_path,
-        ["suite", "n_strings", "string_length", "passed", "failed", "failed_percent",
-         "band_low", "band_high"],
-        [
-            (r.test, r.n_strings, r.string_length, r.passed, r.failed,
-             f"{r.failed_percent:.4f}", lo, hi)
-            for r in results
-        ],
-    )
-    outputs.append(str(battery_path))
-    for r in results:
-        ok = lo <= r.failed <= hi
-        checks.append(
-            (f"battery {r.test}", ok, f"failed {r.failed}/{r.n_strings}, band [{lo}, {hi}]")
-        )
-
-    dist_path = out_dir / "table_distribution.csv"
-    observed = (summary.within_1s, summary.within_2s, summary.within_3s)
-    _write_csv(
-        dist_path,
-        ["band", "observed_percent", "reference_percent", "normal_percent"],
-        [
-            (k, f"{obs:.4f}", ref, norm)
-            for k, (obs, ref, norm) in enumerate(zip(observed, _REFERENCE_WITHIN, _NORMAL_WITHIN), start=1)
-        ],
-    )
-    outputs.append(str(dist_path))
-    for k, (obs, ref) in enumerate(zip(observed, _REFERENCE_WITHIN), start=1):
-        ok = abs(obs - ref) <= _WITHIN_TOLERANCE
-        checks.append(
-            (f"ones within {k} sigma", ok, f"{obs:.2f}% vs reference {ref}% (tol {_WITHIN_TOLERANCE})")
-        )
-
-    pairs_path = out_dir / "table_pairs.csv"
-    freq = _write_pair_table(pairs_path, tally)
-    outputs.append(str(pairs_path))
-    in_range = bool(freq.min() >= 0.009 and freq.max() <= 0.011)
-    checks.append(
-        ("pair frequencies near 0.01", in_range,
-         f"range [{freq.min():.5f}, {freq.max():.5f}] over {tally.total} pairs")
-    )
-    gap = tally.asymmetry()
-    checks.append(("pair swap symmetry", gap <= 0.001, f"largest |f(i,j) - f(j,i)| = {gap:.5f}"))
-
-    seg_path = out_dir / "digit_segments.csv"
-    _write_csv(
-        seg_path,
-        ["segment", "statistic", "critical", "passed"],
-        [
-            (i, f"{rep.statistic:.4f}", f"{rep.critical:.7f}", int(rep.passed))
-            for i, rep in enumerate(reports)
-        ],
-    )
-    outputs.append(str(seg_path))
-    passed = sum(rep.passed for rep in reports)
-    need = math.ceil(0.95 * args.segments)
-    checks.append(
-        ("decimal digit uniformity", passed >= need,
-         f"{passed}/{args.segments} segments of {seg_len} digits pass chi-square(9)")
-    )
-
-    all_ok = all(ok for _, ok, _ in checks)
+    passed = sum(ok for _, ok, _ in checks)
     lines = [f"reproduction run, scale={args.scale}", ""]
-    for name, ok, detail in checks:
-        lines.append(f"[{'PASS' if ok else 'FAIL'}] {name}: {detail}")
-    lines.append("")
-    lines.append(f"{sum(ok for _, ok, _ in checks)}/{len(checks)} checks passed")
-    summary_path = out_dir / "summary.txt"
-    summary_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    outputs.append(str(summary_path))
+    lines += [f"[{'PASS' if ok else 'FAIL'}] {name}: {detail}" for name, ok, detail in checks]
+    lines += ["", f"{passed}/{len(checks)} checks passed"]
+    (out_dir / "summary.txt").write_text("\n".join(lines) + "\n", encoding="utf-8")
     print("\n".join(lines))
 
     counts = {
@@ -512,11 +393,11 @@ def cmd_repro(args, config):
         "dist_strings": dist_strings,
         "pairs": pairs,
         "segments": args.segments,
-        "checks_passed": sum(ok for _, ok, _ in checks),
+        "checks_passed": passed,
         "checks_total": len(checks),
     }
     options = {"scale": args.scale, "yes": str(bool(args.yes)).lower()}
-    return out_dir / "repro", "ok" if all_ok else "checks-failed", options, counts, outputs
+    return out_dir / "repro", "ok" if passed == len(checks) else "checks-failed", options, counts, outputs
 
 
 def _full_scale_plan(config, strings, dist_strings, pairs) -> str:

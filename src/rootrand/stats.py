@@ -15,7 +15,9 @@ from functools import lru_cache
 import numpy as np
 
 from ._checks import bit_array, int_arg
-from .generator import GeneratorConfig, _block_values, digits_stream, shared_stream
+from .generator import GeneratorConfig, StreamCache, _block_values, digits_stream, shared_stream
+from .primes import first_n_primes
+from .roots import _floor_root
 
 __all__ = [
     "TestReport",
@@ -31,6 +33,7 @@ __all__ = [
     "digit_uniformity",
     "ones_count_distribution",
     "pair_frequency_table",
+    "repro_report",
     "TEST_RUNNERS",
     "DEFAULT_STRING_LENGTHS",
 ]
@@ -403,3 +406,119 @@ def pair_frequency_table(config: GeneratorConfig, max_pairs: int) -> PairTally:
     the entry the cut falls in.
     """
     return PairTally(shared_stream(config).pair_counts(int_arg("max_pairs", max_pairs, 1)), max_pairs)
+
+
+# ---------------------------------------------------------------------------
+# the reproduction run's verdicts
+
+
+# Within-k-sigma percentages of the reference full-scale run, the distance
+# from them that still passes, and the normal law's percentages, k = 1, 2, 3.
+_REFERENCE_WITHIN = (68.27, 95.35, 99.72)
+_WITHIN_TOLERANCE = 1.5
+_NORMAL_WITHIN = (68.26895, 95.44997, 99.73002)
+_SEGMENT_LENGTH = 100_000
+
+
+def _worked_example_check():
+    config = GeneratorConfig(
+        n_pairs=1, rounds=1, precision_digits=100, skip_digits=50,
+        c1=(5,), c2=(17,), degrees=(3,),
+    )
+    bits = StreamCache(config).prefix(3)
+    ok = bits.tolist() == [0, 1, 0]
+    return ok, f"first bits of the 5 vs 17 cube-root pairing: {''.join(map(str, bits.tolist()))}"
+
+
+def _root_spot_check(samples: int = 500):
+    # The floor root every stream digit comes from, checked again in plain
+    # ints: a second arithmetic behind the one that proved it.
+    primes = first_n_primes(9592)  # every prime below 10**5
+    rng = np.random.default_rng(20260819)
+    for _ in range(samples):
+        p = int(rng.choice(primes))
+        r = int(rng.choice([2, 3, 5, 7, 11]))
+        depth = int(rng.integers(0, 301))
+        t, exact = _floor_root(p, r, depth)
+        t, x = int(t), p * 10 ** (r * depth)
+        low = t ** r
+        if not (low <= x < (t + 1) ** r and bool(exact) == (low == x)):
+            return False, f"floor root bracket failed at p={p}, r={r}, depth={depth}"
+    return True, f"{samples} random floor-root brackets hold"
+
+
+def _chi2_check():
+    targets = ((3, 7.8147279), (7, 14.0671404), (15, 24.9957901), (31, 44.9853433))
+    worst = max(abs(chi_square_critical(dof) - ref) for dof, ref in targets)
+    return worst < 5e-7, f"max deviation from reference 5% critical values {worst:.2e}"
+
+
+def _determinism_check(config, workers):
+    n = 200_000
+    a = StreamCache(config).prefix(n)
+    b = StreamCache(config).prefix(n)
+    c = StreamCache(config).prefix(n, workers=max(2, workers))
+    ok = bool(np.array_equal(a, b) and np.array_equal(a, c))
+    return ok, f"two fresh runs and a {max(2, workers)}-worker run agree on {n} bits"
+
+
+def _repro_checks(tables: dict) -> list[tuple[str, bool, str]]:
+    """The (name, passed, detail) verdict on each row of repro_report's tables."""
+    lo, hi = tables["band"]
+    checks = [
+        (f"battery {r.test}", lo <= r.failed <= hi, f"failed {r.failed}/{r.n_strings}, band [{lo}, {hi}]")
+        for r in tables["battery"]
+    ]
+    for k, (obs, ref, _) in enumerate(tables["distribution"], start=1):
+        ok = abs(obs - ref) <= _WITHIN_TOLERANCE
+        checks.append(
+            (f"ones within {k} sigma", ok, f"{obs:.2f}% vs reference {ref}% (tol {_WITHIN_TOLERANCE})")
+        )
+    tally = tables["pairs"]
+    freq = tally.frequencies()
+    in_range = bool(freq.min() >= 0.009 and freq.max() <= 0.011)
+    checks.append(
+        ("pair frequencies near 0.01", in_range,
+         f"range [{freq.min():.5f}, {freq.max():.5f}] over {tally.total} pairs")
+    )
+    gap = tally.asymmetry()
+    checks.append(("pair swap symmetry", gap <= 0.001, f"largest |f(i,j) - f(j,i)| = {gap:.5f}"))
+    reports = tables["segments"]
+    passed = sum(rep.passed for rep in reports)
+    need = math.ceil(0.95 * len(reports))
+    checks.append(
+        ("decimal digit uniformity", passed >= need,
+         f"{passed}/{len(reports)} segments of {_SEGMENT_LENGTH} digits pass chi-square(9)")
+    )
+    return checks
+
+
+def repro_report(config: GeneratorConfig, strings: int, dist_strings: int, pairs: int, segments: int,
+                 alpha: float = 0.05, workers: int = 1) -> tuple[dict, list[tuple[str, bool, str]]]:
+    """Every table of the reproduction run, and its checks as (name, passed, detail) rows.
+
+    The tables dict holds the battery's BatchResults over `strings` strings
+    and the "band" their failure counts must lie in, the (observed,
+    reference, normal) within-k-sigma percentages of `dist_strings` ones
+    counts for k = 1, 2, 3, the PairTally of `pairs` digit pairs, and the
+    chi-square(9) reports of `segments` segments of 100000 digits.
+    """
+    checks = [
+        ("worked-example bits", *_worked_example_check()),
+        ("integer root brackets", *_root_spot_check()),
+        ("chi-square critical values", *_chi2_check()),
+        ("determinism and workers", *_determinism_check(config, workers)),
+    ]
+    battery = tuple(
+        batch_test(config, test, strings, length, alpha, workers) for test, length in DEFAULT_STRING_LENGTHS.items()
+    )
+    summary = ones_count_distribution(config, dist_strings, 1000, workers)
+    observed = (summary.within_1s, summary.within_2s, summary.within_3s)
+    tables = {
+        "battery": battery,
+        "band": binomial_band(strings, alpha),
+        "distribution": tuple(zip(observed, _REFERENCE_WITHIN, _NORMAL_WITHIN)),
+        "pairs": pair_frequency_table(config, pairs),
+        "segments": digit_uniformity(config, segments, _SEGMENT_LENGTH, alpha, workers),
+    }
+    return tables, checks + _repro_checks(tables)

@@ -9,6 +9,7 @@ import time
 import numpy as np
 import pytest
 
+import rootrand.stats as stats_mod
 from rootrand import GeneratorConfig, bits_to_decimal, cli, digits_stream, first_n_primes, generate_bits
 from rootrand.cli import RunManifest, load_config_file, main
 
@@ -248,10 +249,10 @@ def test_repro_desk_smoke(tmp_path):
 def test_root_spot_check_tests_the_stream_root(monkeypatch):
     # repro's "integer root brackets" row must fail when the floor root the
     # stream uses is wrong.
-    assert cli._root_spot_check(samples=20) == (True, "20 random floor-root brackets hold")
-    floor_root = cli._floor_root
-    monkeypatch.setattr(cli, "_floor_root", lambda p, r, depth: (floor_root(p, r, depth)[0] + 1, False))
-    ok, detail = cli._root_spot_check(samples=20)
+    assert stats_mod._root_spot_check(samples=20) == (True, "20 random floor-root brackets hold")
+    floor_root = stats_mod._floor_root
+    monkeypatch.setattr(stats_mod, "_floor_root", lambda p, r, depth: (floor_root(p, r, depth)[0] + 1, False))
+    ok, detail = stats_mod._root_spot_check(samples=20)
     assert not ok
     assert detail.startswith("floor root bracket failed at p=")
 

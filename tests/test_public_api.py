@@ -26,8 +26,8 @@ PUBLIC_NAMES = {
     "rootrand.stats": [
         "TestReport", "BatchResult", "DistributionSummary", "PairTally", "chi_square_statistic",
         "chi_square_critical", "transitions_test", "ngram_block_test", "batch_test", "binomial_band",
-        "digit_uniformity", "ones_count_distribution", "pair_frequency_table", "TEST_RUNNERS",
-        "DEFAULT_STRING_LENGTHS",
+        "digit_uniformity", "ones_count_distribution", "pair_frequency_table", "repro_report",
+        "TEST_RUNNERS", "DEFAULT_STRING_LENGTHS",
     ],
     "rootrand.roots": ["int_nth_root", "root_fractional_digits"],
     "rootrand.primes": ["first_n_primes", "prime_pair_sets", "nth_prime", "is_prime"],
@@ -42,14 +42,36 @@ def test_public_names_pinned(module):
     assert all(hasattr(mod, name) for name in mod.__all__)
 
 
+CLI_SOURCE = Path(__file__).resolve().parent.parent / "src" / "rootrand" / "cli.py"
+
+
 def test_cli_imports_only_public_stats_names():
     # Every statistic the CLI reports is computed behind the public stats API.
-    cli = Path(__file__).resolve().parent.parent / "src" / "rootrand" / "cli.py"
     private = [
         alias.name
-        for node in ast.walk(ast.parse(cli.read_text(encoding="utf-8")))
+        for node in ast.walk(ast.parse(CLI_SOURCE.read_text(encoding="utf-8")))
         if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module == "stats"
         for alias in node.names
         if alias.name.startswith("_")
     ]
     assert private == []
+
+
+def test_cli_holds_no_verdict():
+    # repro's thresholds and reference values live in stats.repro_report;
+    # the CLI only writes what it returns.
+    tree = ast.parse(CLI_SOURCE.read_text(encoding="utf-8"))
+    thresholds = [
+        node.value
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Constant) and type(node.value) is float
+        and node.value in (0.009, 0.011, 0.001, 0.95, 1.5, 68.27, 95.35, 99.72)
+    ]
+    verdict_imports = [
+        alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+        if alias.name in ("binomial_band", "chi_square_critical")
+    ]
+    assert thresholds == [] and verdict_imports == []

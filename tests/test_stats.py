@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 import rootrand.roots as roots_mod
 import rootrand.stats as stats_mod
 from rootrand import (
+    BatchResult,
     GeneratorConfig,
     StreamCache,
     batch_test,
@@ -437,3 +438,83 @@ def test_pair_table_read_only(desk_config):
 def test_pair_table_validation(desk_config):
     with pytest.raises(ValueError):
         pair_frequency_table(desk_config, 0)
+
+
+# ---------------------------------------------------------------------------
+# repro verdicts on planted tables
+
+
+def _segment(passed):
+    return stats_mod.TestReport("digits", 0.0, 16.9, 9, 0.05, passed, (10_000,) * 10, 10_000.0)
+
+
+def _repro_verdicts(battery_failed=50, within=None, pair_counts=None, segments_passed=(100, 100)):
+    """Each repro check's verdict on tables that pass every gate unless an argument plants a change."""
+    n, passed = segments_passed
+    ref = stats_mod._REFERENCE_WITHIN
+    tables = {
+        "battery": tuple(
+            BatchResult(test, 1000, length, 1000 - battery_failed, battery_failed, battery_failed / 10, 0.05)
+            for test, length in DEFAULT_STRING_LENGTHS.items()
+        ),
+        "band": binomial_band(1000, 0.05),
+        "distribution": tuple(zip(within or ref, ref, stats_mod._NORMAL_WITHIN)),
+        "pairs": PairTally(np.full((10, 10), 1000) if pair_counts is None else pair_counts, 100_000),
+        "segments": tuple(_segment(i < passed) for i in range(n)),
+    }
+    return {name: ok for name, ok, _ in stats_mod._repro_checks(tables)}
+
+
+def _pair_counts(cells):
+    counts = np.full((10, 10), 1000)
+    for (i, j), count in cells.items():
+        counts[i, j] = count
+    return counts
+
+
+def test_repro_checks_pass_planted_tables():
+    assert _repro_verdicts() == {
+        **{f"battery {test}": True for test in DEFAULT_STRING_LENGTHS},
+        "ones within 1 sigma": True,
+        "ones within 2 sigma": True,
+        "ones within 3 sigma": True,
+        "pair frequencies near 0.01": True,
+        "pair swap symmetry": True,
+        "decimal digit uniformity": True,
+    }
+
+
+@pytest.mark.parametrize("failed, ok", [(28, False), (29, True), (71, True), (72, False)])
+def test_repro_battery_band_edges(failed, ok):
+    assert binomial_band(1000, 0.05) == (29, 71)
+    verdicts = _repro_verdicts(battery_failed=failed)
+    assert [verdicts[f"battery {test}"] for test in DEFAULT_STRING_LENGTHS] == [ok] * 5
+
+
+@pytest.mark.parametrize("within, ok", [(69.77, True), (69.78, False), (66.77, True), (66.76, False)])
+def test_repro_within_tolerance_edges(within, ok):
+    # 69.77 and 66.77 lie exactly 1.5 points from the 68.27 reference.
+    ref = stats_mod._REFERENCE_WITHIN
+    verdicts = _repro_verdicts(within=(within, *ref[1:]))
+    assert (verdicts["ones within 1 sigma"], verdicts["ones within 2 sigma"]) == (ok, True)
+
+
+@pytest.mark.parametrize("count, ok", [(900, True), (1100, True), (899, False), (1101, False)])
+def test_repro_pair_frequency_edges(count, ok):
+    # Out of 100000 pairs, 900 and 1100 are the frequencies 0.009 and 0.011.
+    assert _repro_verdicts(pair_counts=_pair_counts({(2, 5): count}))["pair frequencies near 0.01"] == ok
+
+
+@pytest.mark.parametrize("count, ok", [(610, True), (611, False)])
+def test_repro_swap_symmetry_edge(count, ok):
+    # 610 and 510 of 100000 pairs are frequencies whose float difference is
+    # exactly 0.001; no such pair lies within [0.009, 0.011].
+    tally = PairTally(_pair_counts({(3, 7): count, (7, 3): 510}), 100_000)
+    assert (tally.asymmetry() == 0.001) == ok
+    assert _repro_verdicts(pair_counts=tally.counts)["pair swap symmetry"] == ok
+
+
+@pytest.mark.parametrize("n, passed, ok", [(100, 95, True), (100, 94, False), (20, 19, True), (20, 18, False)])
+def test_repro_segment_share_edges(n, passed, ok):
+    assert math.ceil(0.95 * n) == passed + (not ok)
+    assert _repro_verdicts(segments_passed=(n, passed))["decimal digit uniformity"] == ok
