@@ -20,32 +20,22 @@ from __future__ import annotations
 
 import argparse
 import csv
-import itertools
 import math
 import sys
 import time
-from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
 from ._checks import int_arg
-from .generator import (
-    ConfigError,
-    GeneratorConfig,
-    StreamExhausted,
-    _entries_for_bits,
-    _stream_entries,
-    digits_stream,
-    generate_bits,
-)
-from .roots import _floor_root
+from .generator import ConfigError, GeneratorConfig, StreamExhausted, digits_stream, generate_bits
 from .stats import (
     DEFAULT_STRING_LENGTHS,
     batch_test,
     ones_count_distribution,
     pair_frequency_table,
+    repro_plan,
     repro_report,
 )
 
@@ -215,11 +205,25 @@ def cmd_gen_digits(args, config):
 _CHI_SUITES = tuple(DEFAULT_STRING_LENGTHS)
 
 
-def _write_csv(path: Path, header, rows):
-    with path.open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(rows)
+def _write_files(files: dict) -> list[str]:
+    """Write each path's content, a text report as is and a (header, rows) table as CSV; return the paths."""
+    for path, content in files.items():
+        if isinstance(content, str):
+            path.write_text(content, encoding="utf-8")
+            continue
+        header, rows = content
+        with path.open("w", newline="", encoding="utf-8") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(header)
+            writer.writerows(rows)
+    return [str(path) for path in files]
+
+
+def _battery_table(results, **extra):
+    """BatchResults as a CSV header and one row per suite, each row ending in the extra columns."""
+    header = ["suite", "n_strings", "string_length", "passed", "failed", "failed_percent", *extra]
+    return header, [(r.test, r.n_strings, r.string_length, r.passed, r.failed, f"{r.failed_percent:.4f}",
+                     *extra.values()) for r in results]
 
 
 def _pair_table(tally):
@@ -253,80 +257,57 @@ def cmd_test(args, config):
                    args.workers, keep_reports=True)
         for suite in run_chi
     ]
-    tally = pair_frequency_table(config, args.pairs) if run_pairs else None
+    tally = pair_frequency_table(config, args.pairs, args.workers) if run_pairs else None
     summary = ones_count_distribution(config, args.strings, 1000, args.workers) if run_dist else None
 
     out = Path(args.out)
-    base = out.with_suffix("")
-    outputs = []
+    base = str(out.with_suffix(""))
+    files = {}
     lines = [f"stream test report (alpha={args.alpha})", ""]
 
     if run_chi:
-        _write_csv(
-            out,
-            ["suite", "n_strings", "string_length", "passed", "failed", "failed_percent", "alpha"],
-            [
-                (r.test, r.n_strings, r.string_length, r.passed, r.failed,
-                 f"{r.failed_percent:.4f}", r.alpha)
-                for r in results
-            ],
+        files[out] = _battery_table(results, alpha=args.alpha)
+        files[Path(base + "_strings.csv")] = (
+            ["suite", "string_index", "statistic", "critical", "dof", "passed"],
+            [(r.test, i, f"{rep.statistic:.6f}", f"{rep.critical:.7f}", rep.dof, int(rep.passed))
+             for r in results for i, rep in enumerate(r.reports)],
         )
-        outputs.append(str(out))
-        string_rows = []
-        for r in results:
-            for i, rep in enumerate(r.reports):
-                string_rows.append(
-                    (r.test, i, f"{rep.statistic:.6f}", f"{rep.critical:.7f}", rep.dof, int(rep.passed))
-                )
-        strings_path = Path(str(base) + "_strings.csv")
-        _write_csv(strings_path, ["suite", "string_index", "statistic", "critical", "dof", "passed"], string_rows)
-        outputs.append(str(strings_path))
         lines.append(f"{'suite':<12}{'length':>8}{'strings':>9}{'passed':>8}{'failed':>8}{'failed %':>10}")
-        for r in results:
-            lines.append(
-                f"{r.test:<12}{r.string_length:>8}{r.n_strings:>9}{r.passed:>8}{r.failed:>8}"
-                f"{r.failed_percent:>10.2f}"
-            )
+        lines += [f"{r.test:<12}{r.string_length:>8}{r.n_strings:>9}{r.passed:>8}{r.failed:>8}"
+                  f"{r.failed_percent:>10.2f}" for r in results]
         lines.append("")
 
     if tally is not None:
-        pairs_path = Path(str(base) + "_pairs.csv")
-        _write_csv(pairs_path, *_pair_table(tally))
-        outputs.append(str(pairs_path))
+        files[Path(base + "_pairs.csv")] = _pair_table(tally)
         (off_lo, off_hi), (tie_lo, tie_hi) = tally.off_diagonal_range(), tally.tie_range()
-        lines.append(f"digit pairs: {tally.total} compared")
-        lines.append(f"  off-diagonal frequency range [{off_lo:.5f}, {off_hi:.5f}]")
-        lines.append(f"  tie frequency range [{tie_lo:.5f}, {tie_hi:.5f}]")
-        lines.append(f"  largest swap asymmetry {tally.asymmetry():.5f}")
-        lines.append("")
+        lines += [
+            f"digit pairs: {tally.total} compared",
+            f"  off-diagonal frequency range [{off_lo:.5f}, {off_hi:.5f}]",
+            f"  tie frequency range [{tie_lo:.5f}, {tie_hi:.5f}]",
+            f"  largest swap asymmetry {tally.asymmetry():.5f}",
+            "",
+        ]
 
     if summary is not None:
-        dist_path = Path(str(base) + "_distribution.csv")
-        _write_csv(
-            dist_path,
-            ["name", "value"],
-            [
-                ("n_strings", summary.n_strings),
-                ("string_length", summary.string_length),
-                ("mean", summary.mean),
-                ("sigma", f"{summary.sigma:.6f}"),
-                ("observed_mean", f"{summary.observed_mean:.4f}"),
-                ("within_1s", f"{summary.within_1s:.4f}"),
-                ("within_2s", f"{summary.within_2s:.4f}"),
-                ("within_3s", f"{summary.within_3s:.4f}"),
-            ],
-        )
-        outputs.append(str(dist_path))
-        lines.append(
+        files[Path(base + "_distribution.csv")] = (["name", "value"], [
+            ("n_strings", summary.n_strings),
+            ("string_length", summary.string_length),
+            ("mean", summary.mean),
+            ("sigma", f"{summary.sigma:.6f}"),
+            ("observed_mean", f"{summary.observed_mean:.4f}"),
+            ("within_1s", f"{summary.within_1s:.4f}"),
+            ("within_2s", f"{summary.within_2s:.4f}"),
+            ("within_3s", f"{summary.within_3s:.4f}"),
+        ])
+        lines += [
             f"ones counts over {summary.n_strings} strings of {summary.string_length}: "
             f"within 1/2/3 sigma = {summary.within_1s:.2f}% / {summary.within_2s:.2f}% / "
-            f"{summary.within_3s:.2f}%"
-        )
-        lines.append("")
+            f"{summary.within_3s:.2f}%",
+            "",
+        ]
 
-    txt_path = Path(str(base) + ".txt")
-    txt_path.write_text("\n".join(lines), encoding="utf-8")
-    outputs.append(str(txt_path))
+    files[Path(base + ".txt")] = "\n".join(lines)
+    outputs = _write_files(files)
     print("\n".join(lines))
     options = {"suite": args.suite, "strings": str(args.strings), "alpha": str(args.alpha),
                "pairs": str(args.pairs)}
@@ -344,106 +325,72 @@ def cmd_repro(args, config):
         int_arg(flag, count, 1)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
+    counts = {"strings": args.strings, "dist_strings": dist_strings, "pairs": pairs, "segments": args.segments}
 
     if full_scale and not args.yes:
-        plan = _full_scale_plan(config, args.strings, dist_strings, pairs)
-        plan_path = out_dir / "plan.txt"
-        plan_path.write_text(plan, encoding="utf-8")
+        plan = _plan_text(config, repro_plan(config, args.strings, dist_strings, pairs, args.segments), counts)
+        outputs = _write_files({out_dir / "plan.txt": plan})
         print(plan)
-        print(f"plan written to {plan_path}; rerun with --yes to execute")
-        options = {"scale": args.scale, "yes": "false"}
-        counts = {"strings": args.strings, "dist_strings": dist_strings, "pairs": pairs}
-        return out_dir / "repro", "plan-only", options, counts, [str(plan_path)]
+        print(f"plan written to {outputs[0]}; rerun with --yes to execute")
+        return out_dir / "repro", "plan-only", {"scale": args.scale, "yes": "false"}, counts, outputs
 
     # Every table is computed before the first file is written, so a
     # stream that runs short leaves no partial output.
     tables, checks = repro_report(config, args.strings, dist_strings, pairs, args.segments, args.alpha,
                                   args.workers)
     lo, hi = tables["band"]
-    csvs = {
-        "table_battery.csv": (
-            ["suite", "n_strings", "string_length", "passed", "failed", "failed_percent", "band_low", "band_high"],
-            [(r.test, r.n_strings, r.string_length, r.passed, r.failed, f"{r.failed_percent:.4f}", lo, hi)
-             for r in tables["battery"]],
-        ),
-        "table_distribution.csv": (
-            ["band", "observed_percent", "reference_percent", "normal_percent"],
-            [(k, f"{obs:.4f}", ref, norm) for k, (obs, ref, norm) in enumerate(tables["distribution"], start=1)],
-        ),
-        "table_pairs.csv": _pair_table(tables["pairs"]),
-        "digit_segments.csv": (
-            ["segment", "statistic", "critical", "passed"],
-            [(i, f"{rep.statistic:.4f}", f"{rep.critical:.7f}", int(rep.passed))
-             for i, rep in enumerate(tables["segments"])],
-        ),
-    }
-    for name, (header, rows) in csvs.items():
-        _write_csv(out_dir / name, header, rows)
-    outputs = [str(out_dir / name) for name in (*csvs, "summary.txt")]
-
     passed = sum(ok for _, ok, _ in checks)
     lines = [f"reproduction run, scale={args.scale}", ""]
     lines += [f"[{'PASS' if ok else 'FAIL'}] {name}: {detail}" for name, ok, detail in checks]
     lines += ["", f"{passed}/{len(checks)} checks passed"]
-    (out_dir / "summary.txt").write_text("\n".join(lines) + "\n", encoding="utf-8")
+    outputs = _write_files({
+        out_dir / "table_battery.csv": _battery_table(tables["battery"], band_low=lo, band_high=hi),
+        out_dir / "table_distribution.csv": (
+            ["band", "observed_percent", "reference_percent", "normal_percent"],
+            [(k, f"{obs:.4f}", ref, norm) for k, (obs, ref, norm) in enumerate(tables["distribution"], start=1)],
+        ),
+        out_dir / "table_pairs.csv": _pair_table(tables["pairs"]),
+        out_dir / "digit_segments.csv": (
+            ["segment", "statistic", "critical", "passed"],
+            [(i, f"{rep.statistic:.4f}", f"{rep.critical:.7f}", int(rep.passed))
+             for i, rep in enumerate(tables["segments"])],
+        ),
+        out_dir / "summary.txt": "\n".join(lines) + "\n",
+    })
     print("\n".join(lines))
 
-    counts = {
-        "strings": args.strings,
-        "dist_strings": dist_strings,
-        "pairs": pairs,
-        "segments": args.segments,
-        "checks_passed": passed,
-        "checks_total": len(checks),
-    }
+    counts.update(checks_passed=passed, checks_total=len(checks))
     options = {"scale": args.scale, "yes": str(bool(args.yes)).lower()}
     return out_dir / "repro", "ok" if passed == len(checks) else "checks-failed", options, counts, outputs
 
 
-def _full_scale_plan(config, strings, dist_strings, pairs) -> str:
-    bits_needed = max(strings * DEFAULT_STRING_LENGTHS["pentads"], dist_strings * 1000)
-    entries_bits = _entries_for_bits(config, bits_needed)
-    entries_pairs = math.ceil(pairs / config.window)
-    # The pair table reads the stream's walk and extracts again only the
-    # entry its cut falls in, planned here as one more entry.
-    roots = 2 * max(entries_bits, entries_pairs) + 2
-    # Root cost grows steeply with the degree, so time one root
-    # per degree the planned entries use and weight it by their number.
-    per_degree = Counter(e.root_degree for e in itertools.islice(_stream_entries(config), roots // 2))
-    per_root = {}
-    for degree in sorted(per_degree):
-        t0 = time.perf_counter()
-        _floor_root(10007, degree, config.precision_digits)
-        per_root[degree] = time.perf_counter() - t0
-    root_time = sum(2 * n * per_root[degree] for degree, n in per_degree.items())
-    est = root_time * 1.05  # digit compares add up to about 5% to the time of their roots
-    return "\n".join(
-        [
-            "full-scale reproduction plan",
-            "",
-            f"  n_pairs           {config.n_pairs}",
-            f"  rounds            {config.rounds}",
-            f"  precision_digits  {config.precision_digits}",
-            f"  skip_digits       {config.skip_digits}",
-            f"  battery strings   {strings} per test",
-            f"  distribution      {dist_strings} strings of 1000",
-            f"  digit pairs       {pairs}",
-            "",
-            f"  bits needed       {bits_needed}",
-            f"  schedule entries  about {entries_bits} for the stream, {entries_pairs} for the pair table",
-            f"  roots to extract  about {roots}",
-            f"  measured root time at {config.precision_digits} digits, per degree:",
-            *(
-                f"    r={degree:<5} {per_root[degree] * 1000:9.1f} ms  x {2 * n} roots"
-                for degree, n in sorted(per_degree.items())
-            ),
-            f"  estimated runtime about {max(1, math.ceil(est / 60))} min single process",
-            "",
-            "  note: these tables consume a stream prefix; generating the",
-            "  complete concatenation of every schedule entry at this scale",
-            "  is many orders of magnitude larger and is not attempted.",
-        ]
-    )
+def _plan_text(config, plan, counts) -> str:
+    """repro_plan's numbers for the run's counts as the plan.txt report."""
+    return "\n".join([
+        "full-scale reproduction plan",
+        "",
+        f"  n_pairs           {config.n_pairs}",
+        f"  rounds            {config.rounds}",
+        f"  precision_digits  {config.precision_digits}",
+        f"  skip_digits       {config.skip_digits}",
+        f"  battery strings   {counts['strings']} per test",
+        f"  distribution      {counts['dist_strings']} strings of 1000",
+        f"  digit pairs       {counts['pairs']}",
+        f"  digit segments    {counts['segments']}, {plan['digits']} digits",
+        "",
+        f"  bits needed       {plan['bits_needed']}",
+        f"  schedule entries  about {plan['entries_bits']} for the stream, "
+        f"{plan['entries_pairs']} for the pair table",
+        f"  roots to extract  about {plan['roots']}",
+        f"  one root timed at {config.precision_digits} digits, per degree:",
+        *(f"    r={degree:<5} {seconds * 1000:9.1f} ms  x {n} roots"
+          for degree, (n, seconds) in plan["per_degree"].items()),
+        f"  estimated runtime about {max(1, math.ceil(plan['estimate_s'] / 60))} min single process",
+        "",
+        "  note: these tables consume a stream prefix; generating the",
+        "  complete concatenation of every schedule entry at this scale",
+        "  is many orders of magnitude larger and is not attempted.",
+    ])
 
 
 # ---------------------------------------------------------------------------

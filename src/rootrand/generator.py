@@ -211,6 +211,12 @@ def _entries_for_bits(config: GeneratorConfig, n_bits: int) -> int:
     return math.ceil(n_bits / (0.9 * config.window))
 
 
+def _bits_for_digits(count: int) -> int:
+    """Stream bits expected to decode into count digits, with a margin: 10 of
+    16 nibble values survive, so one digit costs 6.4 bits on average."""
+    return math.ceil(count * 6.4) + 64
+
+
 class StreamCache:
     """Materialized prefix of one configuration's bit stream and digit-pair counts.
 
@@ -224,6 +230,7 @@ class StreamCache:
     def __init__(self, config: GeneratorConfig):
         self.config = config
         self._entries = _stream_entries(config)
+        self._walked: list[ScheduleEntry] = []
         self._bits = np.zeros(0, dtype=np.uint8)
         self._pairs = np.zeros((0, 100), dtype=np.min_scalar_type(config.window))
         self._lock = threading.RLock()
@@ -237,18 +244,19 @@ class StreamCache:
                 self._extend(_entries_for_bits(self.config, n_bits - self._bits.size), workers)
             return self._bits[:n_bits]
 
-    def pair_counts(self, n_pairs: int) -> np.ndarray:
+    def pair_counts(self, n_pairs: int, workers: int = 1) -> np.ndarray:
         """Read-only 10x10 int64 counts of the stream's first n_pairs compared digit pairs.
 
         Only the entry the cut falls in is extracted again.
         """
         whole, cut = divmod(int_arg("n_pairs", n_pairs, 0), self.config.window)
+        int_arg("workers", workers, 1)
         with self._lock:
             while len(self._pairs) < whole + (cut > 0):
-                self._extend(whole + (cut > 0) - len(self._pairs), 1)
+                self._extend(whole + (cut > 0) - len(self._pairs), workers)
             counts = self._pairs[:whole].sum(axis=0, dtype=np.int64)
         if cut:
-            a, b = _entry_windows(self.config, next(islice(_stream_entries(self.config), whole, None)))
+            a, b = _entry_windows(self.config, self._walked[whole])
             counts += np.bincount(a[:cut] * 10 + b[:cut], minlength=100)
         counts = counts.reshape(10, 10)
         counts.setflags(write=False)
@@ -269,6 +277,7 @@ class StreamCache:
         else:
             outputs = list(map(entry_output, entries))
         bits, counts = zip(*outputs)
+        self._walked += entries
         self._bits = np.concatenate((self._bits, *bits))
         self._pairs = np.vstack((self._pairs, *counts))
         self._bits.setflags(write=False)
@@ -345,12 +354,18 @@ def digits_stream(config: GeneratorConfig, count: int, workers: int = 1):
     """
     int_arg("count", count, 1)
     cache = shared_stream(config)
-    # 10 of 16 nibble values survive, so one digit costs 6.4 bits on average.
-    est = max(64, math.ceil(count * 6.4) + 64)
+    est = _bits_for_digits(count)
     while True:
-        est -= est % 4
-        values = _block_values(cache.prefix(est, workers), 4)
+        try:
+            bits = cache.prefix(est, workers)
+        except StreamExhausted:
+            # An override schedule has ended, but its bits may hold enough digits.
+            bits, est = cache._bits, None
+        values = _block_values(bits, 4)
         kept = np.flatnonzero(values <= 9)
         if kept.size >= count:
             return values[kept[:count]].astype(np.uint8), 4 * (int(kept[count - 1]) + 1)
-        est = math.ceil(est * 1.8)
+        if est is None:
+            raise StreamExhausted(f"override schedule decodes into {kept.size} digits, {count} requested")
+        # Walk on by the expected shortfall only, to walk little beyond the bits decoded.
+        est += _bits_for_digits(count - kept.size)

@@ -9,13 +9,17 @@ from the regularized lower incomplete gamma function.
 from __future__ import annotations
 
 import math
+import time
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import islice
 
 import numpy as np
 
 from ._checks import bit_array, int_arg
-from .generator import GeneratorConfig, StreamCache, _block_values, digits_stream, shared_stream
+from .generator import (GeneratorConfig, StreamCache, _bits_for_digits, _block_values, _entries_for_bits,
+                        _stream_entries, digits_stream, shared_stream)
 from .primes import first_n_primes
 from .roots import _floor_root
 
@@ -34,6 +38,7 @@ __all__ = [
     "ones_count_distribution",
     "pair_frequency_table",
     "repro_report",
+    "repro_plan",
     "TEST_RUNNERS",
     "DEFAULT_STRING_LENGTHS",
 ]
@@ -398,14 +403,15 @@ class PairTally:
         return float(f.min()), float(f.max())
 
 
-def pair_frequency_table(config: GeneratorConfig, max_pairs: int) -> PairTally:
+def pair_frequency_table(config: GeneratorConfig, max_pairs: int, workers: int = 1) -> PairTally:
     """Count the first max_pairs compared digit pairs into a read-only 10x10 table.
 
     Reads the per-entry pair counts of the config's shared stream, so the
     entries the bit stream has walked cost no root, and extracts again only
-    the entry the cut falls in.
+    the entry the cut falls in. Entries not yet walked are walked on
+    `workers` processes.
     """
-    return PairTally(shared_stream(config).pair_counts(int_arg("max_pairs", max_pairs, 1)), max_pairs)
+    return PairTally(shared_stream(config).pair_counts(int_arg("max_pairs", max_pairs, 1), workers), max_pairs)
 
 
 # ---------------------------------------------------------------------------
@@ -518,7 +524,39 @@ def repro_report(config: GeneratorConfig, strings: int, dist_strings: int, pairs
         "battery": battery,
         "band": binomial_band(strings, alpha),
         "distribution": tuple(zip(observed, _REFERENCE_WITHIN, _NORMAL_WITHIN)),
-        "pairs": pair_frequency_table(config, pairs),
+        "pairs": pair_frequency_table(config, pairs, workers),
         "segments": digit_uniformity(config, segments, _SEGMENT_LENGTH, alpha, workers),
     }
     return tables, checks + _repro_checks(tables)
+
+
+def repro_plan(config: GeneratorConfig, strings: int, dist_strings: int, pairs: int, segments: int) -> dict:
+    """What repro_report with these counts will walk, and about how long it will take.
+
+    "bits_needed" is the most any table reads: battery, ones counts, or the
+    bits digits_stream first asks for to decode the segments' "digits". The
+    "roots" count the pair table's cut entry twice; "per_degree" maps each
+    degree to (roots, seconds one root takes now); "estimate_s" adds about 5%
+    to their time for the digit compares.
+    """
+    digits = segments * _SEGMENT_LENGTH
+    bits_needed = max(strings * DEFAULT_STRING_LENGTHS["pentads"], dist_strings * 1000, _bits_for_digits(digits))
+    entries_bits = _entries_for_bits(config, bits_needed)
+    entries_pairs = math.ceil(pairs / config.window)
+    roots = 2 * max(entries_bits, entries_pairs) + 2
+    # Root cost grows steeply with the degree, so one root is timed per
+    # degree the planned entries use and weighted by their number.
+    per_degree = {}
+    for degree, n in sorted(Counter(e.root_degree for e in islice(_stream_entries(config), roots // 2)).items()):
+        t0 = time.perf_counter()
+        _floor_root(10007, degree, config.precision_digits)
+        per_degree[degree] = (2 * n, time.perf_counter() - t0)
+    return {
+        "bits_needed": bits_needed,
+        "digits": digits,
+        "entries_bits": entries_bits,
+        "entries_pairs": entries_pairs,
+        "roots": roots,
+        "per_degree": per_degree,
+        "estimate_s": 1.05 * sum(n * seconds for n, seconds in per_degree.values()),
+    }

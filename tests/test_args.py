@@ -30,6 +30,7 @@ INT_ARGUMENTS = {
     "StreamCache.prefix.n_bits": ("n_bits", 0, lambda cfg, v: StreamCache(cfg).prefix(v)),
     "StreamCache.prefix.workers": ("workers", 1, lambda cfg, v: StreamCache(cfg).prefix(3, v)),
     "StreamCache.pair_counts.n_pairs": ("n_pairs", 0, lambda cfg, v: StreamCache(cfg).pair_counts(v)),
+    "StreamCache.pair_counts.workers": ("workers", 1, lambda cfg, v: StreamCache(cfg).pair_counts(3, v)),
     "generate_bits.max_bits": ("max_bits", 1, lambda cfg, v: generate_bits(cfg, v)),
     "pair_stream.max_pairs": ("max_pairs", 0, lambda cfg, v: pair_stream(cfg, v)),
     "digits_stream.count": ("count", 1, lambda cfg, v: digits_stream(cfg, v)),
@@ -41,6 +42,7 @@ INT_ARGUMENTS = {
         "string_length", 1, lambda cfg, v: ones_count_distribution(cfg, 1, v)
     ),
     "pair_frequency_table.max_pairs": ("max_pairs", 1, lambda cfg, v: pair_frequency_table(cfg, v)),
+    "pair_frequency_table.workers": ("workers", 1, lambda cfg, v: pair_frequency_table(cfg, 3, v)),
     "int_nth_root.x": ("x", 0, lambda cfg, v: int_nth_root(v, 2)),
     "int_nth_root.r": ("r", 1, lambda cfg, v: int_nth_root(8, v)),
     "root_fractional_digits.p": ("p", 2, lambda cfg, v: root_fractional_digits(v, 3, 1, 1)),

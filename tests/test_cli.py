@@ -9,6 +9,7 @@ import time
 import numpy as np
 import pytest
 
+import rootrand.generator as generator_mod
 import rootrand.stats as stats_mod
 from rootrand import GeneratorConfig, bits_to_decimal, cli, digits_stream, first_n_primes, generate_bits
 from rootrand.cli import RunManifest, load_config_file, main
@@ -220,6 +221,27 @@ def test_test_subcommand_pairs(tmp_path):
     assert sum(float(r["frequency"]) for r in rows) == pytest.approx(1.0, abs=1e-3)
 
 
+def test_pair_table_walks_on_the_worker_pool(tmp_path, monkeypatch):
+    # --workers reaches the pair table's walk, which gives the same table.
+    pools = []
+
+    class SpyPool(generator_mod.ProcessPoolExecutor):
+        def __init__(self, max_workers=None, **kwargs):
+            pools.append(max_workers)
+            super().__init__(max_workers, **kwargs)
+
+    monkeypatch.setattr(generator_mod, "ProcessPoolExecutor", SpyPool)
+    tables = []
+    for workers in ("2", "1"):
+        monkeypatch.setattr(generator_mod, "_shared", {})
+        out = tmp_path / f"w{workers}.csv"
+        assert main(["test", "--suite", "pairs", "--precision", "300", "--pairs", "20000",
+                     "--workers", workers, "--out", str(out)]) == 0
+        tables.append((tmp_path / f"w{workers}_pairs.csv").read_bytes())
+    assert pools == [2]
+    assert tables[0] == tables[1]
+
+
 def test_test_subcommand_distribution(tmp_path):
     out = tmp_path / "r.csv"
     rc = main(["test", "--suite", "distribution", "--strings", "5", "--out", str(out)])
@@ -272,6 +294,15 @@ def test_repro_full_scale_plan(tmp_path):
     assert re.findall(r"^ +r=(\d+) ", plan, re.M) == ["2"]
     # 1112 stream entries cover the pair table's 501, plus its cut entry.
     assert re.search(r"roots to extract +about (\d+)$", plan, re.M).group(1) == "2226"
+    assert manifest.counts["segments"] == 100
+    # 1000 segments of 100000 digits need 6.4 bits per digit, which 7115
+    # entries of a 99950-digit window yield; the cut entry adds one more.
+    seg_dir = tmp_path / "segments_plan"
+    assert main(["repro", "--scale", "paper", "--segments", "1000", "--out", str(seg_dir)]) == 0
+    plan = (seg_dir / "plan.txt").read_text()
+    assert int(re.search(r"bits needed +(\d+)$", plan, re.M).group(1)) >= 640_000_000
+    assert re.search(r"roots to extract +about (\d+)$", plan, re.M).group(1) == str(2 * (7115 + 1))
+    assert RunManifest.from_text((seg_dir / "repro.manifest").read_text()).counts["segments"] == 1000
     # At desk scale the prefix spans blocks, so every round degree is
     # timed and listed with its own cost.
     desk_dir = tmp_path / "desk_plan"

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import rootrand.generator as generator_mod
 import rootrand.roots as roots_mod
 from rootrand import (
     ConfigError,
@@ -394,6 +395,28 @@ def test_digits_stream_consistency(desk_config):
     assert shorter.tolist() == digits.tolist()[:-1]
     with pytest.raises(ValueError):
         digits_stream(desk_config, 0)
+
+
+def test_digits_stream_walks_only_what_it_decodes(monkeypatch):
+    # A first request that falls short grows by the expected shortfall, not
+    # by a factor: the stream walked ends within about one entry of the bits
+    # decoded. Growing by 1.8x walked 115,797 bits to decode these 64,548.
+    monkeypatch.setattr(generator_mod, "_shared", {})
+    config = GeneratorConfig(precision_digits=2000)
+    digits, consumed = digits_stream(config, 10_000)
+    assert consumed == 64_548
+    assert shared_stream(config)._bits.size < consumed + 2 * config.window
+    assert bits_to_decimal(generate_bits(config, consumed)).tolist() == digits.tolist()
+
+
+def test_digits_stream_reads_an_exhausted_override_schedule(worked_config):
+    # The worked schedule emits 47 bits, whose nibbles 4 5 10 14 4 5 6 11 6 0 6
+    # decode into 8 digits: more than the first request's estimate covers.
+    digits, consumed = digits_stream(worked_config, 3)
+    assert (digits.tolist(), consumed) == ([4, 5, 4], 20)
+    assert digits_stream(worked_config, 8)[0].tolist() == [4, 5, 4, 5, 6, 6, 0, 6]
+    with pytest.raises(StreamExhausted, match="8 digits, 9 requested"):
+        digits_stream(worked_config, 9)
 
 
 # ---------------------------------------------------------------------------
