@@ -15,7 +15,6 @@ import threading
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import partial
-from itertools import islice
 
 import numpy as np
 
@@ -118,37 +117,23 @@ class ScheduleEntry:
     right: int
 
 
-def _round_degree(config: GeneratorConfig, j: int) -> int:
-    if config.degrees is not None:
-        return config.degrees[j - 1]
-    return _primes.nth_prime(j)
+def _entries(config: GeneratorConfig, start: int, stop: int):
+    """Stream entries start..stop-1, each computed from its index.
 
-
-def _block_entries(config: GeneratorConfig, block: int):
+    Blocks run on from config.block_index, each in (round, pair) order; c1/c2 overrides stop after one block."""
+    n, per_block = config.n_pairs, config.rounds * config.n_pairs
     if config.c1 is not None:
-        c1, c2 = config.c1, config.c2
-    else:
-        c1, c2 = _primes.prime_pair_sets(config.n_pairs, block)
-    n = config.n_pairs
-    for j in range(1, config.rounds + 1):
-        degree = _round_degree(config, j)
-        for i in range(1, n + 1):
-            # Round j pairs slot i with the element j places back in c2,
-            # cyclically; j < n makes this a derangement of the pairing.
-            yield ScheduleEntry(j, i, degree, c1[i - 1], c2[(i - 1 - j) % n])
-
-
-def _stream_entries(config: GeneratorConfig):
-    """Every schedule entry in stream order, block after block.
-
-    Configs with c1/c2 overrides stop after their one block.
-    """
-    block = config.block_index
-    while True:
-        yield from _block_entries(config, block)
-        if config.c1 is not None:
-            return
-        block += 1
+        stop = min(stop, per_block)
+    degrees = config.degrees or _primes.first_n_primes(config.rounds)
+    c1, c2 = config.c1, config.c2
+    for k in range(start, stop):
+        b, slot = divmod(k, per_block)
+        if config.c1 is None and (k == start or slot == 0):
+            c1, c2 = _primes.prime_pair_sets(n, config.block_index + b)
+        j, i = divmod(slot, n)
+        # Round j + 1 pairs slot i + 1 with the element j + 1 places back in
+        # c2, cyclically; j + 1 < n makes this a derangement of the pairing.
+        yield ScheduleEntry(j + 1, i + 1, degrees[j], c1[i], c2[(i - 1 - j) % n])
 
 
 def _entry_windows(config: GeneratorConfig, e: ScheduleEntry) -> tuple[np.ndarray, np.ndarray]:
@@ -162,7 +147,7 @@ def _entry_windows(config: GeneratorConfig, e: ScheduleEntry) -> tuple[np.ndarra
 
 def schedule(config: GeneratorConfig) -> list[ScheduleEntry]:
     """The comparison schedule of the config's own block, in (round, pair) order."""
-    return list(_block_entries(config, config.block_index))
+    return list(_entries(config, 0, config.rounds * config.n_pairs))
 
 
 def compare_digits(a: int, b: int) -> int | None:
@@ -229,8 +214,6 @@ class StreamCache:
 
     def __init__(self, config: GeneratorConfig):
         self.config = config
-        self._entries = _stream_entries(config)
-        self._walked: list[ScheduleEntry] = []
         self._bits = np.zeros(0, dtype=np.uint8)
         self._pairs = np.zeros((0, 100), dtype=np.min_scalar_type(config.window))
         self._lock = threading.RLock()
@@ -256,14 +239,14 @@ class StreamCache:
                 self._extend(whole + (cut > 0) - len(self._pairs), workers)
             counts = self._pairs[:whole].sum(axis=0, dtype=np.int64)
         if cut:
-            a, b = _entry_windows(self.config, self._walked[whole])
+            a, b = _entry_windows(self.config, next(_entries(self.config, whole, whole + 1)))
             counts += np.bincount(a[:cut] * 10 + b[:cut], minlength=100)
         counts = counts.reshape(10, 10)
         counts.setflags(write=False)
         return counts
 
     def _extend(self, n_entries: int, workers: int):
-        entries = list(islice(self._entries, min(1024, n_entries)))
+        entries = list(_entries(self.config, len(self._pairs), len(self._pairs) + min(1024, n_entries)))
         if not entries:
             raise StreamExhausted(
                 f"override schedule exhausted after {len(self._pairs)} entries ({self._bits.size} bits); "
@@ -277,7 +260,6 @@ class StreamCache:
         else:
             outputs = list(map(entry_output, entries))
         bits, counts = zip(*outputs)
-        self._walked += entries
         self._bits = np.concatenate((self._bits, *bits))
         self._pairs = np.vstack((self._pairs, *counts))
         self._bits.setflags(write=False)
@@ -312,7 +294,7 @@ def pair_stream(config: GeneratorConfig, max_pairs: int) -> np.ndarray:
     they emit no bit.
     """
     n = int_arg("max_pairs", max_pairs, 0)
-    entries = list(islice(_stream_entries(config), -(-n // config.window)))
+    entries = list(_entries(config, 0, -(-n // config.window)))
     if len(entries) * config.window < n:
         raise StreamExhausted(
             f"override schedule supplies only {len(entries) * config.window} digit pairs, {n} requested"

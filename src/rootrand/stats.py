@@ -13,13 +13,12 @@ import time
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import islice
 
 import numpy as np
 
 from ._checks import bit_array, int_arg
-from .generator import (GeneratorConfig, StreamCache, _bits_for_digits, _block_values, _entries_for_bits,
-                        _stream_entries, digits_stream, shared_stream)
+from .generator import (GeneratorConfig, StreamCache, _bits_for_digits, _block_values, _entries,
+                        _entries_for_bits, digits_stream, shared_stream)
 from .primes import first_n_primes
 from .roots import _floor_root
 
@@ -535,19 +534,22 @@ def repro_plan(config: GeneratorConfig, strings: int, dist_strings: int, pairs: 
 
     "bits_needed" is the most any table reads: battery, ones counts, or the
     bits digits_stream first asks for to decode the segments' "digits". The
-    "roots" count the pair table's cut entry twice; "per_degree" maps each
-    degree to (roots, seconds one root takes now); "estimate_s" adds about 5%
-    to their time for the digit compares.
+    "roots" count the pair table's cut entry, if any, twice; "per_degree" maps
+    each degree to (roots, seconds one root takes now); "estimate_s" adds
+    about 5% to their time for the digit compares.
     """
     digits = segments * _SEGMENT_LENGTH
     bits_needed = max(strings * DEFAULT_STRING_LENGTHS["pentads"], dist_strings * 1000, _bits_for_digits(digits))
     entries_bits = _entries_for_bits(config, bits_needed)
     entries_pairs = math.ceil(pairs / config.window)
-    roots = 2 * max(entries_bits, entries_pairs) + 2
+    walked = max(entries_bits, entries_pairs)
+    # The pair table extracts again the entry its cut falls in, if any.
+    cut = pairs % config.window > 0
+    planned = [*_entries(config, 0, walked), *_entries(config, entries_pairs - cut, entries_pairs)]
     # Root cost grows steeply with the degree, so one root is timed per
     # degree the planned entries use and weighted by their number.
     per_degree = {}
-    for degree, n in sorted(Counter(e.root_degree for e in islice(_stream_entries(config), roots // 2)).items()):
+    for degree, n in sorted(Counter(e.root_degree for e in planned).items()):
         t0 = time.perf_counter()
         _floor_root(10007, degree, config.precision_digits)
         per_degree[degree] = (2 * n, time.perf_counter() - t0)
@@ -556,7 +558,7 @@ def repro_plan(config: GeneratorConfig, strings: int, dist_strings: int, pairs: 
         "digits": digits,
         "entries_bits": entries_bits,
         "entries_pairs": entries_pairs,
-        "roots": roots,
+        "roots": 2 * len(planned),
         "per_degree": per_degree,
         "estimate_s": 1.05 * sum(n * seconds for n, seconds in per_degree.values()),
     }

@@ -1,4 +1,5 @@
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -23,7 +24,7 @@ from rootrand import (
     pair_stream,
     schedule,
 )
-from rootrand.generator import _block_values, _entry_windows, shared_stream
+from rootrand.generator import _block_values, _entries, _entry_windows, shared_stream
 
 # Regression anchor: the first 64 bits of the default stream, confirmed
 # by two independent implementations of the pipeline. Any change here
@@ -129,6 +130,21 @@ def test_schedule_block_advances_primes():
     assert {e.left for e in shifted} == {17, 19, 23}
     assert {e.right for e in shifted} == {29, 31, 37}
     assert {e.left for e in base}.isdisjoint({e.left for e in shifted})
+
+
+def test_entries_by_index_equal_the_block_walk():
+    config = GeneratorConfig(n_pairs=3, rounds=2)
+    walk = [e for b in range(6) for e in schedule(replace(config, block_index=b))]
+    # Spans that start and end inside different blocks, and an empty one.
+    for a, b in [(0, 36), (2, 9), (4, 23), (11, 13), (17, 31), (7, 7)]:
+        assert list(_entries(config, a, b)) == walk[a:b]
+    # Block indices are not separate streams: block 1's stream is block 0's
+    # from its second block on.
+    assert list(_entries(replace(config, block_index=1), 0, 20)) == list(_entries(config, 6, 26))
+    # An override schedule ends with its one block.
+    override = replace(config, c1=(2, 3, 5), c2=(7, 11, 13))
+    assert list(_entries(override, 4, 10)) == schedule(override)[4:]
+    assert list(_entries(override, 6, 9)) == []
 
 
 @given(

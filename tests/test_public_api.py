@@ -42,7 +42,8 @@ def test_public_names_pinned(module):
     assert all(hasattr(mod, name) for name in mod.__all__)
 
 
-CLI_SOURCE = Path(__file__).resolve().parent.parent / "src" / "rootrand" / "cli.py"
+SOURCE = Path(__file__).resolve().parent.parent / "src" / "rootrand"
+CLI_SOURCE = SOURCE / "cli.py"
 
 
 def test_cli_imports_only_public_library_names():
@@ -78,3 +79,21 @@ def test_cli_holds_no_verdict():
         if alias.name in ("binomial_band", "chi_square_critical")
     ]
     assert thresholds == [] and verdict_imports == []
+
+
+def _schedule_entry_calls(tree: ast.AST) -> list[ast.Call]:
+    return [
+        node
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and ast.unparse(node.func).rsplit(".", 1)[-1] == "ScheduleEntry"
+    ]
+
+
+def test_one_schedule_source():
+    # Entry k of a stream is computed from (config, k) in one place; every
+    # walk and every cut entry reads it there.
+    calls = {path.name: len(_schedule_entry_calls(ast.parse(path.read_text(encoding="utf-8"))))
+             for path in sorted(SOURCE.glob("*.py"))}
+    generator = ast.parse((SOURCE / "generator.py").read_text(encoding="utf-8"))
+    (entries,) = [node for node in generator.body if isinstance(node, ast.FunctionDef) and node.name == "_entries"]
+    assert sum(calls.values()) == 1 and len(_schedule_entry_calls(entries)) == 1

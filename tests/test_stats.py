@@ -31,6 +31,7 @@ from rootrand.stats import (
     _within_percents,
     binomial_band,
     digit_uniformity,
+    repro_plan,
 )
 
 # ---------------------------------------------------------------------------
@@ -398,8 +399,11 @@ def test_pair_table_totals(desk_config):
         (GeneratorConfig(), 2 * 19_950),
         # No other test uses this config, so its table comes before any bits.
         (GeneratorConfig(precision_digits=1050, block_index=5), 2_500),
+        # A 10-digit window and 6-entry blocks put the cut in entry 1024: the
+        # cache's second wave, about 170 blocks in.
+        (GeneratorConfig(n_pairs=3, rounds=2, precision_digits=50, skip_digits=40), 10_243),
     ],
-    ids=["cut-inside-entry", "entry-boundary", "table-before-bits"],
+    ids=["cut-inside-entry", "entry-boundary", "table-before-bits", "cut-past-first-wave"],
 )
 def test_pair_table_matches_pair_stream(config, n):
     tally = pair_frequency_table(config, n)
@@ -427,6 +431,19 @@ def test_pair_table_reads_stream_roots(monkeypatch):
     assert calls == []
     pair_frequency_table(config, 4 * config.window + 7)
     assert len(calls) <= 2
+
+
+def test_repro_plan_counts_the_entries_it_walks():
+    # One segment needs 640064 bits, which 36 entries of a 19950-digit
+    # window yield; pairs that end on an entry boundary extract no entry again.
+    plan = repro_plan(GeneratorConfig(), 1, 1, 40 * 19_950, 1)
+    assert (plan["entries_bits"], plan["entries_pairs"], plan["roots"]) == (36, 40, 80)
+    assert {d: n for d, (n, _) in plan["per_degree"].items()} == {2: 80}
+    # A cut inside entry 10 extracts that round-1 entry again, not the
+    # round-2 entry after the stream's 36.
+    plan = repro_plan(GeneratorConfig(n_pairs=36, rounds=2), 1, 1, 10 * 19_950 + 5, 1)
+    assert plan["roots"] == 2 * (36 + 1)
+    assert {d: n for d, (n, _) in plan["per_degree"].items()} == {2: 74}
 
 
 def test_pair_table_read_only(desk_config):
