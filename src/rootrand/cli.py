@@ -6,9 +6,14 @@
     rootrand repro --scale desk --out repro_out
 
 Every run writes a key = value manifest next to its output (suffix
-.manifest) recording the effective configuration, the counts produced
-and the files written. Reruns with the same configuration and arguments
-produce byte-identical data files; manifests differ only in timing.
+.manifest) recording the effective configuration, every parsed flag
+(option.*), the counts produced and the files written. Reruns with the
+same configuration and arguments produce byte-identical data files;
+manifests differ only in timing.
+
+Each subcommand only computes: it returns its files and its report to
+main, which checks the flags, writes every file, prints the report and
+writes the manifest.
 
 Config files are flat key = value text. Recognized keys: n_pairs,
 rounds, precision_digits, skip_digits, block_index, and the optional
@@ -43,6 +48,11 @@ __all__ = ["RunManifest", "main", "build_parser", "load_config_file", "resolve_c
 
 _CONFIG_INT_KEYS = ("n_pairs", "rounds", "precision_digits", "skip_digits", "block_index")
 _CONFIG_TUPLE_KEYS = ("c1", "c2", "degrees")
+
+_COUNT_FLAGS = ("count", "strings", "dist_strings", "pairs", "segments", "workers")
+# Parsed arguments the manifest leaves out of option.*: the config keys are
+# recorded as config.* already.
+_UNRECORDED_ARGS = ("command", "func", "config", *_CONFIG_INT_KEYS)
 
 _FULL_SCALE_CONFIG = dict(n_pairs=10_000, rounds=10_000, precision_digits=100_000, skip_digits=50)
 
@@ -95,6 +105,14 @@ def resolve_config(args) -> GeneratorConfig:
 # ---------------------------------------------------------------------------
 # run manifests
 
+# How each group of "group.key = value" manifest lines reads back from text.
+_MANIFEST_READERS = {
+    "config": _config_value,
+    "option": lambda where, key, value: value,
+    "count": lambda where, key, value: int(value),
+    "output": lambda where, key, value: value,
+}
+
 
 @dataclass
 class RunManifest:
@@ -109,61 +127,33 @@ class RunManifest:
     timing_seconds: float = 0.0
 
     def to_text(self) -> str:
+        config = {key: getattr(self.config, key) for key in _CONFIG_INT_KEYS + _CONFIG_TUPLE_KEYS}
+        groups = {
+            "config": {key: ",".join(map(str, value)) if isinstance(value, tuple) else value
+                       for key, value in config.items() if value is not None},
+            "option": dict(sorted(self.options.items())),
+            "count": dict(sorted(self.counts.items())),
+            "output": dict(enumerate(self.outputs)),
+        }
         lines = [f"command = {self.command}", f"status = {self.status}"]
-        for key in _CONFIG_INT_KEYS:
-            lines.append(f"config.{key} = {getattr(self.config, key)}")
-        for key in _CONFIG_TUPLE_KEYS:
-            value = getattr(self.config, key)
-            if value is not None:
-                lines.append(f"config.{key} = {','.join(str(v) for v in value)}")
-        for key in sorted(self.options):
-            lines.append(f"option.{key} = {self.options[key]}")
-        for key in sorted(self.counts):
-            lines.append(f"count.{key} = {self.counts[key]}")
-        for i, out in enumerate(self.outputs):
-            lines.append(f"output.{i} = {out}")
+        lines += [f"{group}.{key} = {value}" for group, values in groups.items() for key, value in values.items()]
         lines.append(f"timing_seconds = {self.timing_seconds!r}")
         return "\n".join(lines) + "\n"
 
     @classmethod
     def from_text(cls, text: str) -> "RunManifest":
-        command = status = ""
-        config_values: dict = {}
-        options: dict = {}
-        counts: dict = {}
-        outputs: list = []
-        timing = 0.0
+        fields = {"command": "", "status": "", "timing_seconds": "0.0"}
+        groups: dict = {group: {} for group in _MANIFEST_READERS}
         for lineno, raw in enumerate(text.splitlines(), start=1):
-            line = raw.strip()
-            if not line:
-                continue
-            key, _, value = line.partition("=")
-            key = key.strip()
-            value = value.strip()
-            if key == "command":
-                command = value
-            elif key == "status":
-                status = value
-            elif key.startswith("config."):
-                name = key[len("config.") :]
-                config_values[name] = _config_value(f"manifest line {lineno}", name, value)
-            elif key.startswith("option."):
-                options[key[len("option.") :]] = value
-            elif key.startswith("count."):
-                counts[key[len("count.") :]] = int(value)
-            elif key.startswith("output."):
-                outputs.append(value)
-            elif key == "timing_seconds":
-                timing = float(value)
-        return cls(
-            command=command,
-            status=status,
-            config=GeneratorConfig(**config_values),
-            options=options,
-            counts=counts,
-            outputs=tuple(outputs),
-            timing_seconds=timing,
-        )
+            key, _, value = raw.partition("=")
+            key, value = key.strip(), value.strip()
+            group, dot, name = key.partition(".")
+            if dot and group in groups:
+                groups[group][name] = _MANIFEST_READERS[group](f"manifest line {lineno}", name, value)
+            elif key in fields:
+                fields[key] = value
+        return cls(fields["command"], fields["status"], GeneratorConfig(**groups["config"]), groups["option"],
+                   groups["count"], tuple(groups["output"].values()), float(fields["timing_seconds"]))
 
     def write(self, data_path: str | Path) -> Path:
         """Write next to data_path with the .manifest suffix appended."""
@@ -175,9 +165,12 @@ class RunManifest:
 # ---------------------------------------------------------------------------
 # subcommands
 #
-# Each subcommand takes the parsed arguments and the resolved config, writes
-# its data files and returns what main records in the run's manifest:
-# (manifest data path, status, options, counts, outputs).
+# Each subcommand takes the parsed arguments and the resolved config and only
+# computes. It returns (manifest data path, status, counts, files, text):
+# files maps each path to bytes, a text report or a (header, rows) table.
+# main writes the files, prints the text and records the counts, the files
+# and every parsed flag in the run's manifest. So a stream that runs short
+# leaves no partial output.
 
 
 def cmd_gen_bits(args, config):
@@ -187,35 +180,34 @@ def cmd_gen_bits(args, config):
         data = (bits + ord("0")).astype(np.uint8).tobytes() + b"\n"
     else:
         data = np.packbits(bits).tobytes()
-    out.write_bytes(data)
-    print(f"wrote {args.count} bits ({args.format}) to {out}")
-    return (out, "ok", {"count": str(args.count), "format": args.format},
-            {"bits": args.count, "bytes_written": len(data)}, [str(out)])
+    return (out, "ok", {"bits": args.count, "bytes_written": len(data)}, {out: data},
+            f"wrote {args.count} bits ({args.format}) to {out}")
 
 
 def cmd_gen_digits(args, config):
     digits, consumed = digits_stream(config, args.count, args.workers)
     out = Path(args.out)
-    out.write_bytes((digits + ord("0")).astype(np.uint8).tobytes() + b"\n")
-    print(f"wrote {args.count} digits to {out} ({consumed} bits consumed)")
-    return (out, "ok", {"count": str(args.count)},
-            {"digits": args.count, "bits_consumed": consumed}, [str(out)])
+    return (out, "ok", {"digits": args.count, "bits_consumed": consumed},
+            {out: (digits + ord("0")).astype(np.uint8).tobytes() + b"\n"},
+            f"wrote {args.count} digits to {out} ({consumed} bits consumed)")
 
 
 _CHI_SUITES = tuple(DEFAULT_STRING_LENGTHS)
 
 
 def _write_files(files: dict) -> list[str]:
-    """Write each path's content, a text report as is and a (header, rows) table as CSV; return the paths."""
+    """Write each path's content: bytes and a text report as they are, a (header, rows) table as CSV; return the paths."""
     for path, content in files.items():
-        if isinstance(content, str):
+        if isinstance(content, bytes):
+            path.write_bytes(content)
+        elif isinstance(content, str):
             path.write_text(content, encoding="utf-8")
-            continue
-        header, rows = content
-        with path.open("w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(header)
-            writer.writerows(rows)
+        else:
+            header, rows = content
+            with path.open("w", newline="", encoding="utf-8") as fh:
+                writer = csv.writer(fh)
+                writer.writerow(header)
+                writer.writerows(rows)
     return [str(path) for path in files]
 
 
@@ -233,25 +225,10 @@ def _pair_table(tally):
     return ["left_digit", "right_digit", "count", "frequency"], rows
 
 
-def _check_run_flags(args):
-    int_arg("--workers", args.workers, 1)
-    if not 0.0 < args.alpha < 1.0:
-        raise ValueError("--alpha must lie strictly between 0 and 1")
-
-
 def cmd_test(args, config):
     run_chi = [s for s in _CHI_SUITES if args.suite in (s, "all")]
     run_pairs = args.suite in ("pairs", "all")
     run_dist = args.suite in ("distribution", "all")
-    # Flags and counts are checked before any stream work or file.
-    _check_run_flags(args)
-    if run_chi or run_dist:
-        int_arg("--strings", args.strings, 1)
-    if run_pairs:
-        int_arg("--pairs", args.pairs, 1)
-
-    # Every table is computed before the first file is written, so a
-    # stream that runs short leaves no partial output.
     results = [
         batch_test(config, suite, args.strings, DEFAULT_STRING_LENGTHS[suite], args.alpha,
                    args.workers, keep_reports=True)
@@ -306,36 +283,24 @@ def cmd_test(args, config):
             "",
         ]
 
-    files[Path(base + ".txt")] = "\n".join(lines)
-    outputs = _write_files(files)
-    print("\n".join(lines))
-    options = {"suite": args.suite, "strings": str(args.strings), "alpha": str(args.alpha),
-               "pairs": str(args.pairs)}
-    return out, "ok", options, {"suites_run": len(run_chi) + int(run_pairs) + int(run_dist)}, outputs
+    text = "\n".join(lines)
+    files[Path(base + ".txt")] = text
+    return out, "ok", {"suites_run": len(run_chi) + int(run_pairs) + int(run_dist)}, files, text
 
 
 def cmd_repro(args, config):
     full_scale = args.scale == "paper"
     dist_strings = args.dist_strings if args.dist_strings is not None else (100_000 if full_scale else 10_000)
     pairs = args.pairs if args.pairs is not None else (50_000_000 if full_scale else 1_000_000)
-    # Flags and counts are checked before any stream work or file.
-    _check_run_flags(args)
-    for flag, count in (("--strings", args.strings), ("--dist-strings", dist_strings), ("--pairs", pairs),
-                        ("--segments", args.segments)):
-        int_arg(flag, count, 1)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     counts = {"strings": args.strings, "dist_strings": dist_strings, "pairs": pairs, "segments": args.segments}
 
     if full_scale and not args.yes:
         plan = _plan_text(config, repro_plan(config, args.strings, dist_strings, pairs, args.segments), counts)
-        outputs = _write_files({out_dir / "plan.txt": plan})
-        print(plan)
-        print(f"plan written to {outputs[0]}; rerun with --yes to execute")
-        return out_dir / "repro", "plan-only", {"scale": args.scale, "yes": "false"}, counts, outputs
+        return (out_dir / "repro", "plan-only", counts, {out_dir / "plan.txt": plan},
+                f"{plan}\nplan written to {out_dir / 'plan.txt'}; rerun with --yes to execute")
 
-    # Every table is computed before the first file is written, so a
-    # stream that runs short leaves no partial output.
     tables, checks = repro_report(config, args.strings, dist_strings, pairs, args.segments, args.alpha,
                                   args.workers)
     lo, hi = tables["band"]
@@ -343,7 +308,8 @@ def cmd_repro(args, config):
     lines = [f"reproduction run, scale={args.scale}", ""]
     lines += [f"[{'PASS' if ok else 'FAIL'}] {name}: {detail}" for name, ok, detail in checks]
     lines += ["", f"{passed}/{len(checks)} checks passed"]
-    outputs = _write_files({
+    text = "\n".join(lines)
+    files = {
         out_dir / "table_battery.csv": _battery_table(tables["battery"], band_low=lo, band_high=hi),
         out_dir / "table_distribution.csv": (
             ["band", "observed_percent", "reference_percent", "normal_percent"],
@@ -355,13 +321,10 @@ def cmd_repro(args, config):
             [(i, f"{rep.statistic:.4f}", f"{rep.critical:.7f}", int(rep.passed))
              for i, rep in enumerate(tables["segments"])],
         ),
-        out_dir / "summary.txt": "\n".join(lines) + "\n",
-    })
-    print("\n".join(lines))
-
+        out_dir / "summary.txt": text + "\n",
+    }
     counts.update(checks_passed=passed, checks_total=len(checks))
-    options = {"scale": args.scale, "yes": str(bool(args.yes)).lower()}
-    return out_dir / "repro", "ok" if passed == len(checks) else "checks-failed", options, counts, outputs
+    return out_dir / "repro", "ok" if passed == len(checks) else "checks-failed", counts, files, text
 
 
 def _plan_text(config, plan, counts) -> str:
@@ -460,8 +423,18 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     start = time.perf_counter()
     try:
+        # Every flag is checked under its own name before any stream work or file.
+        for key in _COUNT_FLAGS:
+            if getattr(args, key, None) is not None:
+                int_arg("--" + key.replace("_", "-"), getattr(args, key), 1)
+        if not 0.0 < getattr(args, "alpha", 0.5) < 1.0:
+            raise ValueError("--alpha must lie strictly between 0 and 1")
         config = resolve_config(args)
-        path, status, options, counts, outputs = args.func(args, config)
+        path, status, counts, files, text = args.func(args, config)
+        outputs = _write_files(files)
+        print(text)
+        options = {key: str(value) for key, value in vars(args).items()
+                   if key not in _UNRECORDED_ARGS and value is not None}
         RunManifest(args.command, status, config, options, counts, tuple(outputs),
                     timing_seconds=time.perf_counter() - start).write(path)
     except (ConfigError, StreamExhausted, ValueError, OSError) as exc:

@@ -151,6 +151,8 @@ def test_cli_error_paths(tmp_path, capsys):
     flags = tmp_path / "flags"
     flags.mkdir()
     for flag, argv in (
+        ("--count", ["gen-bits", "--count", "0", "--out", str(flags / "x.txt")]),
+        ("--workers", ["gen-bits", "--count", "3", "--workers", "0", "--out", str(flags / "x.txt")]),
         ("--alpha", ["test", "--suite", "all", "--strings", "1000", "--precision", "300", "--alpha", "1.5",
                      "--out", str(flags / "rep.csv")]),
         ("--workers", ["test", "--suite", "pairs", "--workers", "0", "--out", str(flags / "rep.csv")]),
@@ -374,6 +376,46 @@ def test_manifest_round_trip():
     parsed = RunManifest.from_text(manifest.to_text())
     assert parsed == manifest
     assert parsed.to_text() == manifest.to_text()
+    # The format is fixed: this text, written before the reader went one
+    # table over the key groups, still reads back to the same manifest.
+    text = """\
+command = gen-bits
+status = ok
+config.n_pairs = 2
+config.rounds = 2
+config.precision_digits = 90
+config.skip_digits = 40
+config.block_index = 0
+config.c1 = 5,7
+config.c2 = 17,19
+config.degrees = 3,5
+option.count = 9
+option.format = packed
+count.bits = 9
+count.bytes_written = 2
+output.0 = a.bin
+timing_seconds = 0.125
+"""
+    assert RunManifest.from_text(text) == manifest
+    assert manifest.to_text() == text
+
+
+def test_manifest_records_every_flag(worked_cfg_file, tmp_path):
+    # A rerun from the manifest needs every flag the run parsed; the config
+    # file and the config keys are recorded as config.* instead.
+    out_dir = tmp_path / "repro"
+    rc = main(["repro", "--precision", "300", "--strings", "2", "--dist-strings", "20", "--pairs", "20000",
+               "--segments", "2", "--alpha", "0.01", "--out", str(out_dir)])
+    assert rc in (0, 1)
+    manifest = RunManifest.from_text((out_dir / "repro.manifest").read_text())
+    assert manifest.options == {"alpha": "0.01", "dist_strings": "20", "out": str(out_dir), "pairs": "20000",
+                                "scale": "desk", "segments": "2", "strings": "2", "workers": "1", "yes": "False"}
+    assert manifest.config.precision_digits == 300
+    out = tmp_path / "bits.txt"
+    assert main(["gen-bits", "--config", str(worked_cfg_file), "--count", "3", "--workers", "2",
+                 "--out", str(out)]) == 0
+    manifest = RunManifest.from_text((tmp_path / "bits.txt.manifest").read_text())
+    assert manifest.options == {"count": "3", "format": "ascii", "out": str(out), "workers": "2"}
 
 
 # SHA-256 of every data file of four small runs. The test and gen-digits

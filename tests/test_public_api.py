@@ -81,6 +81,25 @@ def test_cli_holds_no_verdict():
     assert thresholds == [] and verdict_imports == []
 
 
+def _callers(tree: ast.AST, names: set, where: str = "") -> set:
+    """Qualified names of the functions and methods that call any of names."""
+    found = set()
+    for child in ast.iter_child_nodes(tree):
+        inner = f"{where}.{child.name}".lstrip(".") if isinstance(child, (ast.FunctionDef, ast.ClassDef)) else where
+        if isinstance(child, ast.Call) and ast.unparse(child.func).rsplit(".", 1)[-1] in names:
+            found.add(inner)
+        found |= _callers(child, names, inner)
+    return found
+
+
+def test_only_main_writes():
+    # Subcommands only compute: main writes every data file through
+    # _write_files, every manifest through RunManifest.write, and prints.
+    tree = ast.parse(CLI_SOURCE.read_text(encoding="utf-8"))
+    assert _callers(tree, {"write_bytes", "write_text", "open"}) == {"_write_files", "RunManifest.write"}
+    assert _callers(tree, {"print"}) == {"main"}
+
+
 def _schedule_entry_calls(tree: ast.AST) -> list[ast.Call]:
     return [
         node
