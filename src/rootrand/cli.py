@@ -12,8 +12,8 @@ same configuration and arguments produce byte-identical data files;
 manifests differ only in timing.
 
 Each subcommand only computes: it returns its files and its report to
-main, which checks the flags, writes every file, prints the report and
-writes the manifest.
+main, which checks the flags, writes the data files, prints the report
+and then writes the manifest through the same writer as the data files.
 
 Config files are flat key = value text. Recognized keys: n_pairs,
 rounds, precision_digits, skip_digits, block_index, and the optional
@@ -155,12 +155,6 @@ class RunManifest:
         return cls(fields["command"], fields["status"], GeneratorConfig(**groups["config"]), groups["option"],
                    groups["count"], tuple(groups["output"].values()), float(fields["timing_seconds"]))
 
-    def write(self, data_path: str | Path) -> Path:
-        """Write next to data_path with the .manifest suffix appended."""
-        path = Path(str(data_path) + ".manifest")
-        path.write_text(self.to_text(), encoding="utf-8")
-        return path
-
 
 # ---------------------------------------------------------------------------
 # subcommands
@@ -168,9 +162,10 @@ class RunManifest:
 # Each subcommand takes the parsed arguments and the resolved config and only
 # computes. It returns (manifest data path, status, counts, files, text):
 # files maps each path to bytes, a text report or a (header, rows) table.
-# main writes the files, prints the text and records the counts, the files
-# and every parsed flag in the run's manifest. So a stream that runs short
-# leaves no partial output.
+# main writes the files with _write_files, prints the text, and then writes
+# the run's manifest, with the counts, the files and every parsed flag,
+# through _write_files too. So a stream that runs short leaves no partial
+# output.
 
 
 def cmd_gen_bits(args, config):
@@ -195,8 +190,8 @@ def cmd_gen_digits(args, config):
 _CHI_SUITES = tuple(DEFAULT_STRING_LENGTHS)
 
 
-def _write_files(files: dict) -> list[str]:
-    """Write each path's content: bytes and a text report as they are, a (header, rows) table as CSV; return the paths."""
+def _write_files(files: dict) -> None:
+    """Write each path's content: bytes and a text report as they are, a (header, rows) table as CSV."""
     for path, content in files.items():
         if isinstance(content, bytes):
             path.write_bytes(content)
@@ -208,7 +203,6 @@ def _write_files(files: dict) -> list[str]:
                 writer = csv.writer(fh)
                 writer.writerow(header)
                 writer.writerows(rows)
-    return [str(path) for path in files]
 
 
 def _battery_table(results, **extra):
@@ -230,8 +224,7 @@ def cmd_test(args, config):
     run_pairs = args.suite in ("pairs", "all")
     run_dist = args.suite in ("distribution", "all")
     results = [
-        batch_test(config, suite, args.strings, DEFAULT_STRING_LENGTHS[suite], args.alpha,
-                   args.workers, keep_reports=True)
+        batch_test(config, suite, args.strings, DEFAULT_STRING_LENGTHS[suite], args.alpha, args.workers)
         for suite in run_chi
     ]
     tally = pair_frequency_table(config, args.pairs, args.workers) if run_pairs else None
@@ -431,12 +424,13 @@ def main(argv=None) -> int:
             raise ValueError("--alpha must lie strictly between 0 and 1")
         config = resolve_config(args)
         path, status, counts, files, text = args.func(args, config)
-        outputs = _write_files(files)
+        _write_files(files)
         print(text)
         options = {key: str(value) for key, value in vars(args).items()
                    if key not in _UNRECORDED_ARGS and value is not None}
-        RunManifest(args.command, status, config, options, counts, tuple(outputs),
-                    timing_seconds=time.perf_counter() - start).write(path)
+        manifest = RunManifest(args.command, status, config, options, counts, tuple(map(str, files)),
+                               timing_seconds=time.perf_counter() - start)
+        _write_files({Path(str(path) + ".manifest"): manifest.to_text()})
     except (ConfigError, StreamExhausted, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

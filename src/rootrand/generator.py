@@ -255,8 +255,7 @@ class StreamCache:
         entry_output = partial(_entry_output, self.config)
         if workers > 1 and len(entries) > 1:
             with ProcessPoolExecutor(max_workers=min(workers, len(entries))) as pool:
-                chunk = max(1, len(entries) // (workers * 4))
-                outputs = list(pool.map(entry_output, entries, chunksize=chunk))
+                outputs = list(pool.map(entry_output, entries))
         else:
             outputs = list(map(entry_output, entries))
         bits, counts = zip(*outputs)

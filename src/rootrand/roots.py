@@ -61,21 +61,18 @@ def int_nth_root(x: int, r: int) -> int:
 
 
 def _newton_nth_root(x: int, r: int) -> int:
-    """Integer Newton iteration with a precision-doubling initial guess."""
+    """Integer Newton iteration seeded, at every size, by the root of a truncated radicand."""
     if r == 1 or x == 0:
         return x
     bits = x.bit_length()
     if bits <= r:
         return 1  # 1 <= x < 2**r; also ends the recursion below
-    if bits <= 52:
-        guess = int(round(float(x) ** (1.0 / r)))
-    else:
-        # Seed from the root of a truncated radicand, then one Newton step
-        # roughly doubles the number of correct leading bits.
-        root_bits = (bits + r - 1) // r
-        half = root_bits // 2
-        guess = (_newton_nth_root(x >> (r * half), r) + 1) << half
-        guess = ((r - 1) * guess + x // guess ** (r - 1)) // r
+    # Seed from the root of a truncated radicand, then one Newton step
+    # roughly doubles the number of correct leading bits.
+    root_bits = (bits + r - 1) // r
+    half = root_bits // 2
+    guess = (_newton_nth_root(x >> (r * half), r) + 1) << half
+    guess = ((r - 1) * guess + x // guess ** (r - 1)) // r
     while guess > 0 and guess ** r > x:
         guess = ((r - 1) * guess + x // guess ** (r - 1)) // r
     while (guess + 1) ** r <= x:
@@ -92,6 +89,8 @@ _GUARD_DIGITS = 10
 _CERT_D_MAX = Decimal("1e-2")
 _CERT_PREC = 20
 _TWO = Decimal(2)
+# Wide enough that no sum or scaling of a root rounds.
+_EXACT = Context(prec=MAX_PREC, Emax=MAX_EMAX, Emin=MIN_EMIN)
 
 
 def _newton_root(p: int, r: int, depth: int):
@@ -186,8 +185,7 @@ def _newton_floor(p: int, r: int, depth: int):
     t = v.to_integral_value(rounding=ROUND_FLOOR)
     if err is None:
         return t, False
-    exact = Context(prec=MAX_PREC, Emax=MAX_EMAX, Emin=MIN_EMIN)
-    return t, exact.add(t, err) < v and exact.add(v, err) < exact.add(t, 1)
+    return t, _EXACT.add(t, err) < v and _EXACT.add(v, err) < _EXACT.add(t, 1)
 
 
 def _floor_root(p: int, r: int, depth: int):
@@ -205,7 +203,7 @@ def _floor_root(p: int, r: int, depth: int):
         return t, False
     s = _newton_nth_root(p, r)
     if s**r == p:
-        return Context(prec=MAX_PREC, Emax=MAX_EMAX, Emin=MIN_EMIN).scaleb(Decimal(s), depth), True
+        return _EXACT.scaleb(Decimal(s), depth), True
     return Decimal(_newton_nth_root(p * 10 ** (r * depth), r)), False
 
 

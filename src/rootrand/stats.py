@@ -268,7 +268,7 @@ class BatchResult:
     failed: int
     failed_percent: float
     alpha: float
-    reports: tuple[TestReport, ...] | None = None
+    reports: tuple[TestReport, ...] = ()
 
 
 def batch_test(
@@ -278,19 +278,13 @@ def batch_test(
     string_length: int,
     alpha: float = 0.05,
     workers: int = 1,
-    keep_reports: bool = False,
 ) -> BatchResult:
-    """Run one named test on n_strings consecutive disjoint stream slices."""
+    """Run one named test on n_strings consecutive disjoint stream slices, keeping each slice's report."""
     if test not in TEST_RUNNERS:
         raise ValueError(f"unknown test {test!r}; pick one of {sorted(TEST_RUNNERS)}")
     runner = TEST_RUNNERS[test]
-    reports = []
-    passed = 0
-    for string in _strings(config, n_strings, string_length, workers):
-        report = runner(string, alpha)
-        passed += report.passed
-        if keep_reports:
-            reports.append(report)
+    reports = tuple(runner(string, alpha) for string in _strings(config, n_strings, string_length, workers))
+    passed = sum(report.passed for report in reports)
     failed = n_strings - passed
     return BatchResult(
         test=test,
@@ -300,7 +294,7 @@ def batch_test(
         failed=failed,
         failed_percent=100.0 * failed / n_strings,
         alpha=alpha,
-        reports=tuple(reports) if keep_reports else None,
+        reports=reports,
     )
 
 

@@ -1,5 +1,8 @@
+import hashlib
+import math
 import tracemalloc
 from dataclasses import replace
+from decimal import Decimal
 
 import numpy as np
 import pytest
@@ -30,6 +33,11 @@ from rootrand.generator import _block_values, _entries, _entry_windows, shared_s
 # by two independent implementations of the pipeline. Any change here
 # means the schedule, the digit windows, or the comparison drifted.
 DESK_FIRST_64 = "0101111110111000110001111100110001110100100000001000100110010100"
+
+# Second anchor: SHA-256 of the packed first 100,000 bits of the paper's
+# configuration (10,000 pairs, 10,000 rounds, 100,000 digits, 50 skipped).
+PAPER_CONFIG = GeneratorConfig(n_pairs=10_000, rounds=10_000, precision_digits=100_000, skip_digits=50)
+PAPER_FIRST_100K_SHA256 = "d4884804cbaa05454681afc3f19dabf39dfee0278f187b7d103ff157275b3b12"
 
 
 # ---------------------------------------------------------------------------
@@ -188,6 +196,19 @@ def test_generate_bits_validation(desk_config):
 def test_desk_fingerprint(desk_config):
     got = "".join(map(str, generate_bits(desk_config, 64).tolist()))
     assert got == DESK_FIRST_64
+
+
+def test_paper_prefix_pinned():
+    bits = generate_bits(PAPER_CONFIG, 100_000)
+    assert hashlib.sha256(np.packbits(bits).tobytes()).hexdigest() == PAPER_FIRST_100K_SHA256
+    # Entry 0 compares the square roots of 2 and 224737; its windows are
+    # the last 99,950 digits of isqrt(p * 10**200000), read through Decimal,
+    # whose str is not bound by the int-to-str digit cap.
+    entry = next(_entries(PAPER_CONFIG, 0, 1))
+    assert (entry.root_degree, entry.left, entry.right) == (2, 2, 224737)
+    for p, window in zip((entry.left, entry.right), _entry_windows(PAPER_CONFIG, entry)):
+        digits = str(Decimal(math.isqrt(p * 10**200_000)))[-PAPER_CONFIG.window:]
+        assert (window + ord("0")).tobytes() == digits.encode("ascii")
 
 
 def test_prefix_property(desk_config):

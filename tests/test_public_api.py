@@ -93,10 +93,10 @@ def _callers(tree: ast.AST, names: set, where: str = "") -> set:
 
 
 def test_only_main_writes():
-    # Subcommands only compute: main writes every data file through
-    # _write_files, every manifest through RunManifest.write, and prints.
+    # Subcommands only compute: main writes every file, the manifest
+    # included, through _write_files, and prints.
     tree = ast.parse(CLI_SOURCE.read_text(encoding="utf-8"))
-    assert _callers(tree, {"write_bytes", "write_text", "open"}) == {"_write_files", "RunManifest.write"}
+    assert _callers(tree, {"write_bytes", "write_text", "open"}) == {"_write_files"}
     assert _callers(tree, {"print"}) == {"main"}
 
 
@@ -116,3 +116,27 @@ def test_one_schedule_source():
     generator = ast.parse((SOURCE / "generator.py").read_text(encoding="utf-8"))
     (entries,) = [node for node in generator.body if isinstance(node, ast.FunctionDef) and node.name == "_entries"]
     assert sum(calls.values()) == 1 and len(_schedule_entry_calls(entries)) == 1
+
+
+def test_benchmark_contract():
+    """The names the benchmark in perfbench/ reaches into.
+
+    Its traced replay rebinds roots' root_fractional_digits in generator to
+    record each digit window, checks that both process-wide caches start
+    cold, and rebuilds the stream through the public pipeline. A change
+    that breaks any of these makes perfbench report "correct": false, so
+    the benchmark fails it; such a change belongs in a change to the
+    benchmark that also edits perfbench.
+    """
+    from rootrand import generator, roots
+
+    tree = ast.parse((SOURCE / "generator.py").read_text(encoding="utf-8"))
+    (windows,) = [node for node in tree.body if isinstance(node, ast.FunctionDef) and node.name == "_entry_windows"]
+    called = [ast.unparse(node.func) for node in ast.walk(windows) if isinstance(node, ast.Call)]
+    assert called == ["root_fractional_digits", "root_fractional_digits"]
+    assert isinstance(roots._HAVE_GMPY2, bool)
+    assert isinstance(roots._digit_cache, dict) and isinstance(generator._shared, dict)
+    assert callable(generator.StreamCache.prefix)
+    for name in ("schedule", "operator_O", "concat", "generate_bits"):
+        assert callable(getattr(generator, name))
+    assert callable(roots.int_nth_root)

@@ -1,6 +1,7 @@
 import decimal
 import functools
 import hashlib
+import random
 import sys
 import time
 import types
@@ -46,8 +47,8 @@ def test_root_validation():
 
 
 def test_newton_root_below_two():
-    # x < 2**r with more than 52 bits: the root is 1, and the seeding
-    # recursion used to shift by zero bits forever.
+    # x < 2**r: the root is 1, and the seeding recursion used to shift by
+    # zero bits forever.
     assert _newton_nth_root(2**60, 61) == 1
     assert _newton_nth_root(2**61 - 1, 61) == 1
     assert _newton_nth_root(2**61, 61) == 2
@@ -69,6 +70,19 @@ def test_newton_matches_primary(sympy, x, r):
     # Without gmpy2, int_nth_root is _newton_nth_root itself; sympy's
     # integer root is an independent reference on every machine.
     assert _newton_nth_root(x, r) == sympy.integer_nthroot(x, r)[0]
+
+
+def test_newton_every_bit_length_and_near_powers(sympy):
+    # Every radicand size from 0 to 89 bits, across the 52 bits where a
+    # float seed once took over, and exact powers with their neighbours,
+    # which random sampling rarely hits.
+    rng = random.Random(25)
+    for r in range(1, 12):
+        cases = [rng.getrandbits(bits) | (1 << bits >> 1) for bits in range(90) for _ in range(3)]
+        for t in (2, 3, 10, 2**17 - 1, 3**20, 10**9 + 7):
+            cases += [t**r - 1, t**r, t**r + 1]
+        for x in cases:
+            assert _newton_nth_root(x, r) == sympy.integer_nthroot(x, r)[0], (x, r)
 
 
 @given(x=st.integers(min_value=0, max_value=10**30), r=st.integers(min_value=2, max_value=5))

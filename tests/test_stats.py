@@ -282,11 +282,11 @@ def test_batch_small(desk_config):
     result = batch_test(desk_config, "dyads", 3, 1000)
     assert result.passed + result.failed == 3
     assert result.failed_percent == pytest.approx(100.0 * result.failed / 3)
-    assert result.reports is None
+    assert len(result.reports) == 3
 
 
 def test_batch_keep_reports(desk_config):
-    result = batch_test(desk_config, "transitions", 4, 501, keep_reports=True)
+    result = batch_test(desk_config, "transitions", 4, 501)
     assert len(result.reports) == 4
     assert sum(r.passed for r in result.reports) == result.passed
     # slices are disjoint and consecutive, so reports differ in counts
