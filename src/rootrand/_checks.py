@@ -7,7 +7,8 @@ import numpy as np
 
 def int_arg(name: str, value, low: int | None = None, high: int | None = None, error=ValueError) -> int:
     """value if it is an int (not a bool) in low..high, else error naming name and its bounds."""
-    ok = isinstance(value, int) and not isinstance(value, bool)
+    # An exact int, the common case, skips the subclass checks.
+    ok = type(value) is int or isinstance(value, int) and not isinstance(value, bool)
     if ok and low is not None:
         ok = low <= value and (high is None or value <= high)
     if not ok:

@@ -191,8 +191,10 @@ _CHI_SUITES = tuple(DEFAULT_STRING_LENGTHS)
 
 
 def _write_files(files: dict) -> None:
-    """Write each path's content: bytes and a text report as they are, a (header, rows) table as CSV."""
+    """Write each path's content, creating its directory: bytes and a text report as they are, a
+    (header, rows) table as CSV."""
     for path, content in files.items():
+        path.parent.mkdir(parents=True, exist_ok=True)
         if isinstance(content, bytes):
             path.write_bytes(content)
         elif isinstance(content, str):
@@ -286,7 +288,6 @@ def cmd_repro(args, config):
     dist_strings = args.dist_strings if args.dist_strings is not None else (100_000 if full_scale else 10_000)
     pairs = args.pairs if args.pairs is not None else (50_000_000 if full_scale else 1_000_000)
     out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     counts = {"strings": args.strings, "dist_strings": dist_strings, "pairs": pairs, "segments": args.segments}
 
     if full_scale and not args.yes:

@@ -15,6 +15,7 @@ import threading
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import partial
+from itertools import islice
 
 import numpy as np
 
@@ -160,9 +161,9 @@ def compare_digits(a: int, b: int) -> int | None:
 
 
 def _compare(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    # operator_O on windows already known to be aligned uint8 digits.
-    ne = a != b
-    return (a[ne] > b[ne]).astype(np.uint8)
+    # operator_O on windows already known to be aligned uint8 digits, of any
+    # shape; the bits come in row-major order.
+    return (a > b)[a != b].view(np.uint8)
 
 
 def operator_O(left, right) -> np.ndarray:
@@ -183,11 +184,28 @@ def concat(chunks) -> np.ndarray:
     return np.concatenate(parts) if parts else np.zeros(0, dtype=np.uint8)
 
 
-def _entry_output(config: GeneratorConfig, e: ScheduleEntry) -> tuple[np.ndarray, np.ndarray]:
-    """The bits one schedule entry emits and the counts of its 100 digit pairs (10 * left + right)."""
-    a, b = _entry_windows(config, e)
-    # No count can exceed the window, so its smallest type holds all 100.
-    return _compare(a, b), np.bincount(a * 10 + b, minlength=100).astype(np.min_scalar_type(config.window))
+# Digit pairs per block of a wave, so no temporary grows with the wave; a
+# block holds at least one entry.
+_BLOCK_PAIRS = 1 << 16
+
+
+def _wave_output(windows, window: int) -> tuple[list[np.ndarray], list[np.ndarray]]:
+    """Bits and per-entry digit-pair counts (10 * left + right) from entries' windows in stream order.
+
+    Each block of entries is compared in one vectorized pass, its rows in
+    entry order, and counted in one bincount with each row in its own 100
+    bins. No count can exceed the window, so its smallest type holds all 100.
+    """
+    rows = max(1, _BLOCK_PAIRS // window)
+    bits, counts = [], []
+    windows = iter(windows)
+    while block := list(islice(windows, rows)):
+        a, b = (np.stack(side) for side in zip(*block))
+        bits.append(_compare(a, b))
+        codes = a * 10 + b + np.arange(0, 100 * len(block), 100)[:, None]
+        counts.append(np.bincount(codes.ravel(), minlength=100 * len(block)).reshape(-1, 100)
+                      .astype(np.min_scalar_type(window)))
+    return bits, counts
 
 
 def _entries_for_bits(config: GeneratorConfig, n_bits: int) -> int:
@@ -252,13 +270,12 @@ class StreamCache:
                 f"override schedule exhausted after {len(self._pairs)} entries ({self._bits.size} bits); "
                 "configs with explicit c1/c2 do not advance to new blocks"
             )
-        entry_output = partial(_entry_output, self.config)
+        windows = partial(_entry_windows, self.config)
         if workers > 1 and len(entries) > 1:
             with ProcessPoolExecutor(max_workers=min(workers, len(entries))) as pool:
-                outputs = list(pool.map(entry_output, entries))
+                bits, counts = _wave_output(pool.map(windows, entries), self.config.window)
         else:
-            outputs = list(map(entry_output, entries))
-        bits, counts = zip(*outputs)
+            bits, counts = _wave_output(map(windows, entries), self.config.window)
         self._bits = np.concatenate((self._bits, *bits))
         self._pairs = np.vstack((self._pairs, *counts))
         self._bits.setflags(write=False)

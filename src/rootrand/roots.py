@@ -32,6 +32,7 @@ int_nth_root never uses gmpy2.
 
 from __future__ import annotations
 
+import functools
 import math
 from decimal import MAX_EMAX, MAX_PREC, MIN_EMIN, ROUND_CEILING, ROUND_FLOOR, Context, Decimal
 
@@ -85,12 +86,34 @@ _GUARD_DIGITS = 10
 
 # The last Newton step certifies its floor only while |d| <= _CERT_D_MAX,
 # where the Taylor remainder is at most 2*d**2; the error bound is taken at
-# _CERT_PREC digits, rounded up.
+# 20 digits, rounded up.
 _CERT_D_MAX = Decimal("1e-2")
-_CERT_PREC = 20
+_CERT = Context(prec=20, rounding=ROUND_CEILING, Emax=MAX_EMAX, Emin=MIN_EMIN)
 _TWO = Decimal(2)
 # Wide enough that no sum or scaling of a root rounds.
 _EXACT = Context(prec=MAX_PREC, Emax=MAX_EMAX, Emin=MIN_EMIN)
+# The contexts above and those of _newton_plan are shared and never changed;
+# their flags collect conditions that nothing reads.
+
+
+@functools.lru_cache(maxsize=64)
+def _newton_plan(r: int, top: int):
+    """(start, ladder, chain, last): _newton_root's contexts for degree r up to precision top.
+
+    The precisions run from about what the float estimate holds up to top,
+    each step given a few digits of slack, more for larger r; start is the
+    lowest one. ladder holds one (lo, hi) pair per level below top: hi at
+    the level's precision, lo at the one below it (the lowest level's own).
+    chain holds the binary powering bits of r - 1 after the leading one,
+    and last the context at top. Bounded, so roots at many depths cannot
+    grow it without limit.
+    """
+    slack = 2 + len(str(r))
+    levels = [top]
+    while levels[-1] > 2 * slack + 20:
+        levels.append(levels[-1] // 2 + slack)
+    ctxs = [Context(prec=prec, Emax=MAX_EMAX, Emin=MIN_EMIN) for prec in reversed(levels)]
+    return ctxs[0], tuple(zip(ctxs[:1] + ctxs[:-2], ctxs[:-1])), bin(r - 1)[3:], ctxs[-1]
 
 
 def _newton_root(p: int, r: int, depth: int):
@@ -100,7 +123,10 @@ def _newton_root(p: int, r: int, depth: int):
     z = p ** (-1/r) with only multiplications and a division by the small
     int r. Each step roughly doubles the correct digits, so the precision
     doubles from step to step up to P, the root's integer digits plus
-    depth plus _GUARD_DIGITS. The last step is taken on the root itself,
+    depth plus _GUARD_DIGITS. Below P each step is fused into two
+    roundings: d = 1 - p*z**r at the precision of the level below, which
+    holds every digit d keeps once its leading digits cancel, and
+    z + z*(d/r) at the level's own. The last step is taken on the root itself,
     which spares a power chain at full precision: with y0 = p*z**(r-1) and
     d = 1 - y0*z, it returns v = y1 * 10**depth, where
     y1 = y0 + y0*d*(r-1)/r.
@@ -140,21 +166,15 @@ def _newton_root(p: int, r: int, depth: int):
     """
     e = math.log10(p) / r
     lead = math.floor(e)
-    # Precisions from the target down to about what the float estimate
-    # holds; each step is given a few digits of slack, more for larger r.
-    slack = 2 + len(str(r))
-    levels = [depth + lead + 1 + _GUARD_DIGITS]
-    while levels[-1] > 2 * slack + 20:
-        levels.append(levels[-1] // 2 + slack)
-    ctx = Context(prec=levels[-1], Emax=MAX_EMAX, Emin=MIN_EMIN)
-    z = ctx.scaleb(Decimal(10 ** (lead - e)), -lead)  # the only float: a ~15-digit estimate
-    for prec in reversed(levels[1:]):
-        ctx.prec = prec
-        d = ctx.subtract(1, ctx.multiply(p, ctx.power(z, r)))
-        z = ctx.add(z, ctx.divide(ctx.multiply(z, d), r))
-    ctx.prec = levels[0]
+    top = depth + lead + 1 + _GUARD_DIGITS
+    start, ladder, chain, ctx = _newton_plan(r, top)
+    neg_p, p = Decimal(-p), Decimal(p)
+    z = start.scaleb(Decimal(10 ** (lead - e)), -lead)  # the only float: a ~15-digit estimate
+    for lo, hi in ladder:
+        d_r = lo.divide(lo.fma(neg_p, hi.power(z, r), 1), r)
+        z = hi.fma(z, d_r, z)
     power = z
-    for bit in bin(r - 1)[3:]:
+    for bit in chain:
         power = ctx.multiply(power, power)
         if bit == "1":
             power = ctx.multiply(power, z)
@@ -164,10 +184,9 @@ def _newton_root(p: int, r: int, depth: int):
     v = ctx.scaleb(y, depth)
     if z <= 0 or not -_CERT_D_MAX <= d <= _CERT_D_MAX:
         return v, None
-    ctx.prec, ctx.rounding = _CERT_PREC, ROUND_CEILING
-    size = ctx.abs(d)
-    four_u = ctx.scaleb(_TWO, 1 - levels[0])
-    return v, ctx.multiply(ctx.add(ctx.multiply(_TWO, ctx.multiply(size, size)), four_u), v)
+    size = _CERT.abs(d)
+    four_u = _CERT.scaleb(_TWO, 1 - top)
+    return v, _CERT.multiply(_CERT.add(_CERT.multiply(_TWO, _CERT.multiply(size, size)), four_u), v)
 
 
 def _newton_floor(p: int, r: int, depth: int):

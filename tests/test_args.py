@@ -1,6 +1,8 @@
 """Every public int argument rejects a bool, a float and the first value below its bound,
 with a message naming the argument and the bound."""
 
+import enum
+
 import pytest
 
 from rootrand import (
@@ -68,3 +70,21 @@ def test_int_argument_rejected(worked_config, case, kind):
     error = ConfigError if case.startswith("GeneratorConfig.") else ValueError
     with pytest.raises(error, match=rf"\b{name} must be an int (of at least|in) {low}\b"):
         call(worked_config, value)
+
+
+class _Count(enum.IntEnum):
+    SIXTY = 60
+
+
+@pytest.mark.parametrize("value, accepted", [(60, True), (_Count.SIXTY, True), (True, False), (60.0, False)])
+def test_int_subclass_accepted_bool_rejected(value, accepted):
+    # An int subclass other than bool passes as its value, against a lower
+    # bound (count, at least 0) and a range (skip_digits, 40..100); True never does.
+    if accepted:
+        assert root_fractional_digits(5, 3, 1, value).tolist() == root_fractional_digits(5, 3, 1, 60).tolist()
+        assert GeneratorConfig(skip_digits=value).skip_digits == 60
+        return
+    with pytest.raises(ValueError, match=r"\bcount must be an int of at least 0\b"):
+        root_fractional_digits(5, 3, 1, value)
+    with pytest.raises(ConfigError, match=r"\bskip_digits must be an int in 40\.\.100\b"):
+        GeneratorConfig(skip_digits=value)

@@ -5,6 +5,7 @@ import re
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -134,9 +135,10 @@ def test_cli_error_paths(tmp_path, capsys):
     err = capsys.readouterr().err
     assert f"{no_equals}:3:" in err and "expected 'key = value'" in err
     # A data file that cannot be written is an error, and no manifest follows it.
-    missing = tmp_path / "missing" / "x.txt"
+    blocker = tmp_path / "blocker"
+    blocker.write_text("a file, not a directory\n")
     for argv in (["gen-bits", "--count", "3"], ["test", "--suite", "dyads", "--strings", "1"]):
-        assert main(argv + ["--precision", "300", "--out", str(missing)]) == 2
+        assert main(argv + ["--precision", "300", "--out", str(blocker / "x.txt")]) == 2
         assert "error:" in capsys.readouterr().err
     assert not list(tmp_path.rglob("*.manifest"))
     repro = ["repro", "--precision", "300", "--strings", "1", "--dist-strings", "1", "--pairs", "100"]
@@ -183,7 +185,7 @@ def test_cli_error_paths(tmp_path, capsys):
     assert main(["repro", "--config", short_schedule(400, 3), "--strings", "1", "--dist-strings", "1",
                  "--pairs", "300001", "--out", str(tmp_path / "short")]) == 2
     assert "exhausted" in capsys.readouterr().err
-    assert not list((tmp_path / "short").iterdir())
+    assert not (tmp_path / "short").exists()
     with pytest.raises(SystemExit):
         main(["gen-bits", "--out", str(out)])  # --count is required
     with pytest.raises(SystemExit):
@@ -208,6 +210,17 @@ def test_test_subcommand_single_suite(tmp_path):
     assert manifest.command == "test"
     for path in manifest.outputs:
         assert (tmp_path / path).exists() or out.parent.joinpath(path).exists()
+
+
+def test_out_into_a_missing_directory(tmp_path):
+    # Every file, the manifest included, lands in directories made for it.
+    for argv, out in (
+        (["test", "--suite", "dyads", "--strings", "1"], tmp_path / "missing" / "report.csv"),
+        (["gen-bits", "--count", "3"], tmp_path / "a" / "b" / "bits.txt"),
+    ):
+        assert main(argv + ["--precision", "300", "--out", str(out)]) == 0
+        manifest = RunManifest.from_text(Path(str(out) + ".manifest").read_text())
+        assert manifest.outputs and all(Path(path).exists() for path in manifest.outputs)
 
 
 def test_test_subcommand_pairs(tmp_path):

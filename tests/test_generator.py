@@ -251,6 +251,41 @@ def test_workers_match_single_process(desk_config):
     assert np.array_equal(single, multi)
 
 
+@pytest.mark.parametrize(
+    "precision, n_pairs, n_entries, workers",
+    [
+        # 300-digit windows: 218 entries to a block, and the 1024-entry wave
+        # boundary falls inside the walk, on one process and on two.
+        (350, 300, 1100, 1),
+        (350, 300, 1100, 2),
+        # A window longer than a block's digit pairs: each block holds one entry.
+        (50 + (1 << 16) + 14, 1, 2, 1),
+    ],
+)
+def test_wave_step_matches_each_entry(precision, n_pairs, n_entries, workers):
+    # The wave step's bits and pair counts equal each entry's own, from its windows.
+    config = GeneratorConfig(n_pairs=n_pairs, rounds=1, precision_digits=precision)
+    cache = StreamCache(config)
+    cache.pair_counts(n_entries * config.window, workers)
+    assert len(cache._pairs) == n_entries
+    windows = [_entry_windows(config, e) for e in _entries(config, 0, n_entries)]
+    assert np.array_equal(cache._bits, concat(operator_O(a, b) for a, b in windows))
+    assert np.array_equal(cache._pairs, [np.bincount(a * 10 + b, minlength=100) for a, b in windows])
+    assert cache._pairs.dtype == np.min_scalar_type(config.window)
+
+
+def test_entry_bits_do_not_depend_on_depth():
+    # A root's digits do not change with the depth they are taken to, so
+    # configs that differ only in precision_digits agree on entry 0's bits
+    # up to the shorter window's.
+    configs = [GeneratorConfig(n_pairs=4, rounds=4, precision_digits=d) for d in (300, 2000, 20_000)]
+    bits = [operator_O(*_entry_windows(c, next(_entries(c, 0, 1)))) for c in configs]
+    for shorter, longer in zip(bits, bits[1:]):
+        assert 0 < shorter.size < longer.size and np.array_equal(longer[: shorter.size], shorter)
+    for config, entry_bits in zip(configs, bits):
+        assert np.array_equal(StreamCache(config).prefix(entry_bits.size), entry_bits)
+
+
 def test_prefix_is_read_only(desk_config):
     bits = generate_bits(desk_config, 32)
     with pytest.raises(ValueError):

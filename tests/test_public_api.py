@@ -94,9 +94,9 @@ def _callers(tree: ast.AST, names: set, where: str = "") -> set:
 
 def test_only_main_writes():
     # Subcommands only compute: main writes every file, the manifest
-    # included, through _write_files, and prints.
+    # included, and every directory through _write_files, and prints.
     tree = ast.parse(CLI_SOURCE.read_text(encoding="utf-8"))
-    assert _callers(tree, {"write_bytes", "write_text", "open"}) == {"_write_files"}
+    assert _callers(tree, {"write_bytes", "write_text", "open", "mkdir"}) == {"_write_files"}
     assert _callers(tree, {"print"}) == {"main"}
 
 

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 import rootrand.roots as roots_mod
 from rootrand import GeneratorConfig, StreamCache, first_n_primes, int_nth_root, root_fractional_digits
+from rootrand.generator import _entries, _entry_windows
 from rootrand.roots import _newton_nth_root
 
 # Digits 51..70 of the cube roots of 5 and 17, cross-checked below
@@ -296,7 +297,24 @@ def test_certificate_spares_the_exact_chain(monkeypatch):
     monkeypatch.setattr(roots_mod, "_newton_nth_root", counted)
     counts = StreamCache(config).pair_counts(400 * config.window)
     assert counts.sum() == 400 * config.window
+    # At 20k digits, one entry each at r = 2, 3, 5 and 7: rounds 1..4 start at entries 0, 4, 8, 12.
+    deep = GeneratorConfig(n_pairs=4, rounds=4, precision_digits=20_000)
+    entries = [next(_entries(deep, k, k + 1)) for k in (0, 4, 8, 12)]
+    assert [e.root_degree for e in entries] == [2, 3, 5, 7]
+    for e in entries:
+        _entry_windows(deep, e)
     assert calls == []
+
+
+def test_newton_plan_cache_is_bounded():
+    # Roots at more distinct precisions than the plan cache holds leave it at its bound.
+    plan = roots_mod._newton_plan
+    plan.cache_clear()
+    depths = range(1, plan.cache_info().maxsize + 17)
+    for depth in depths:
+        assert roots_mod._newton_floor(3, 2, depth)[1]
+    info = plan.cache_info()
+    assert info.misses == len(depths) and info.currsize == info.maxsize
 
 
 def test_fallback_matches_gmpy2(monkeypatch):
