@@ -200,7 +200,7 @@ def _wave_output(windows, window: int) -> tuple[list[np.ndarray], list[np.ndarra
     bits, counts = [], []
     windows = iter(windows)
     while block := list(islice(windows, rows)):
-        a, b = (np.stack(side) for side in zip(*block))
+        a, b = (np.concatenate(side).reshape(len(block), window) for side in zip(*block))
         bits.append(_compare(a, b))
         codes = a * 10 + b + np.arange(0, 100 * len(block), 100)[:, None]
         counts.append(np.bincount(codes.ravel(), minlength=100 * len(block)).reshape(-1, 100)
