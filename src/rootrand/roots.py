@@ -15,18 +15,23 @@ proved before use, in one of two ways:
 
 - A certificate from the last Newton step. With d = 1 - y*z, the identity
   p**(1/r) = y * (1 - d)**(-(r-1)/r) holds exactly for any z > 0, and the
-  step y + y*d*(r-1)/r keeps its linear term. While |d| <= 10**-2 the
+  step y + y*d*(r-1)/r keeps its linear term. While |d| < 10**-2 the
   step's relative error, roundings included, is at most 2*d**2 + 4*u, with
-  u = 5*10**-P the rounding unit at the step's precision P (_newton_root
-  derives the bound). When that error interval around y*10**D holds no
-  integer, its floor is T and the root is irrational at that depth.
+  u = 5*10**-P the rounding unit at the step's precision P; err rounds
+  that bound up to a power of ten read off the exponents of d and y*10**D
+  (_newton_root derives both). When the interval of half-width err around
+  y*10**D holds no integer, its floor is T and the root is irrational at
+  that depth.
 - Otherwise, by the integer Newton iteration of int_nth_root, whose last
   loops enforce T**r <= x < (T+1)**r. It runs for perfect powers, whose
   root is an integer that no error interval can exclude, for
-  |d| > 10**-2, and for the rare y*10**D within the bound of an integer.
+  |d| >= 10**-2, and for the rare y*10**D within err of an integer.
   x = p * 10**(r*D) is an r-th power exactly when p is, so the integer
   root of p alone decides perfect powers.
 
+Every decimal operation that can round or signal names one of this
+module's contexts, so the caller's decimal context, its precision and its
+traps play no part.
 int_nth_root never uses gmpy2.
 """
 
@@ -34,7 +39,7 @@ from __future__ import annotations
 
 import functools
 import math
-from decimal import MAX_EMAX, MAX_PREC, MIN_EMIN, ROUND_CEILING, ROUND_FLOOR, Context, Decimal
+from decimal import MAX_EMAX, MAX_PREC, MIN_EMIN, ROUND_FLOOR, Context, Decimal
 
 import numpy as np
 
@@ -84,15 +89,10 @@ def _newton_nth_root(x: int, r: int) -> int:
 # Digits carried beyond the requested depth by the decimal Newton iteration.
 _GUARD_DIGITS = 10
 
-# The last Newton step certifies its floor only while |d| <= _CERT_D_MAX,
-# where the Taylor remainder is at most 2*d**2; the error bound is taken at
-# 20 digits, rounded up.
-_CERT_D_MAX = Decimal("1e-2")
-_CERT = Context(prec=20, rounding=ROUND_CEILING, Emax=MAX_EMAX, Emin=MIN_EMIN)
-_TWO = Decimal(2)
-# Wide enough that no sum or scaling of a root rounds.
+_ONE = Decimal(1)
+# Wide enough that no sum, difference or scaling of a root rounds.
 _EXACT = Context(prec=MAX_PREC, Emax=MAX_EMAX, Emin=MIN_EMIN)
-# The contexts above and those of _newton_plan are shared and never changed;
+# The context above and those of _newton_plan are shared and never changed;
 # their flags collect conditions that nothing reads.
 
 
@@ -131,8 +131,9 @@ def _newton_root(p: int, r: int, depth: int):
     d = 1 - y0*z, it returns v = y1 * 10**depth, where
     y1 = y0 + y0*d*(r-1)/r.
 
-    err is an upper bound on |V - v|, or None where |d| > 10**-2 (or
-    z <= 0), outside the bound's premise. The bound:
+    err is an upper bound on |V - v|, or None outside the bound's premise:
+    where z <= 0, or where d.adjusted() > -3, as it is for every
+    |d| >= 10**-2. The bound:
 
     The identity. Let k = (r-1)/r and q = p*z**(r-1) exactly. For any
     z > 0, q * (q*z)**-k = p**(1/r) * z**((r-1)/r - k) = p**(1/r). The
@@ -160,16 +161,24 @@ def _newton_root(p: int, r: int, depth: int):
     Collecting the terms, relative to y0 the step misses p**(1/r) by
     1.03*u (from D - d) + 1.04*d**2 + 0.04*u (rho) + 1.01*u (e1) + u (the
     sum) + 0.06*u (products of small terms); and y0 <= 1.0103*y1. So
-    |p**(1/r) - y1| <= (2*d**2 + 4*u) * y1.
+    |p**(1/r) - y1| <= (2*d**2 + 4*u) * y1, and |V - v| <= (2*d**2 + 4*u) * v.
 
-    The bound is evaluated rounding up, so err >= (2*d**2 + 4*u) * v.
+    The bound is evaluated from exponents alone (_error_bound). Every
+    nonzero Decimal x, and zero too, satisfies |x| < 10**(x.adjusted() + 1).
+    With a = d.adjusted() and b = v.adjusted(), 2*d**2 < 2*10**(2*a + 2)
+    and 4*u = 2*10**(1 - P), so 2*d**2 + 4*u < 4*10**m <= 10**(m + 1) with
+    m = max(2*a + 2, 1 - P), and v < 10**(b + 1). Hence
+    err = 10**(m + 2 + b) > (2*d**2 + 4*u) * v, a power of ten exactly.
+    And a <= -3 gives |d| < 10**-2, the premise.
     """
     e = math.log10(p) / r
     lead = math.floor(e)
     top = depth + lead + 1 + _GUARD_DIGITS
     start, ladder, chain, ctx = _newton_plan(r, top)
     neg_p, p = Decimal(-p), Decimal(p)
-    z = start.scaleb(Decimal(10 ** (lead - e)), -lead)  # the only float: a ~15-digit estimate
+    # The only float: 10**(lead - e) lies in (0.1, 1], so its 16 leading
+    # digits, taken as an int, give z to about 15 digits for any size of p.
+    z = start.scaleb(int(10 ** (lead - e + 16)), -16 - lead)
     for lo, hi in ladder:
         d_r = lo.divide(lo.fma(neg_p, hi.power(z, r), 1), r)
         z = hi.fma(z, d_r, z)
@@ -182,29 +191,38 @@ def _newton_root(p: int, r: int, depth: int):
     d = ctx.subtract(1, ctx.multiply(y, z))
     y = ctx.add(y, ctx.divide(ctx.multiply(ctx.multiply(y, d), r - 1), r))
     v = ctx.scaleb(y, depth)
-    if z <= 0 or not -_CERT_D_MAX <= d <= _CERT_D_MAX:
-        return v, None
-    size = _CERT.abs(d)
-    four_u = _CERT.scaleb(_TWO, 1 - top)
-    return v, _CERT.multiply(_CERT.add(_CERT.multiply(_TWO, _CERT.multiply(size, size)), four_u), v)
+    return v, _error_bound(d, v, top) if z > 0 else None
+
+
+def _error_bound(d: Decimal, v: Decimal, top: int):
+    """err = 10**(max(2*d.adjusted() + 2, 1 - top) + 2 + v.adjusted()), above
+    (2*d**2 + 4*u) * v with u = 5*10**-top, or None unless d.adjusted() <= -3.
+
+    _newton_root derives the bound.
+    """
+    a = d.adjusted()
+    if a > -3:
+        return None
+    return _EXACT.scaleb(_ONE, max(2 * a + 2, 1 - top) + 2 + v.adjusted())
 
 
 def _newton_floor(p: int, r: int, depth: int):
     """(T, certified): T = floor(v) from _newton_root, for r >= 2.
 
     certified is True only when T is proved to be floor(V) and V to be
-    irrational. V lies in [v - err, v + err]; if T < v - err and
-    v + err < T + 1, then T < V < T + 1, so T is the floor, and V, an r-th
-    root of an integer that is not itself an integer, is irrational.
-    Perfect powers never pass, since their V is an integer within err of
-    v, nor does a step that gave no err; the caller proves T then. The
-    comparisons are exact.
+    irrational. V lies in [v - err, v + err]; with frac = v - T, if
+    err < frac and frac + err < 1, then T < V < T + 1, so T is the floor,
+    and V, an r-th root of an integer that is not itself an integer, is
+    irrational. Perfect powers never pass, since their V is an integer
+    within err of v, nor does a step that gave no err; the caller proves T
+    then. The subtraction, the sum and the comparisons are exact.
     """
     v, err = _newton_root(p, r, depth)
-    t = v.to_integral_value(rounding=ROUND_FLOOR)
+    t = v.to_integral_value(ROUND_FLOOR, _EXACT)
     if err is None:
         return t, False
-    return t, _EXACT.add(t, err) < v and _EXACT.add(v, err) < _EXACT.add(t, 1)
+    frac = _EXACT.subtract(v, t)
+    return t, err < frac and _EXACT.add(frac, err) < 1
 
 
 def _floor_root(p: int, r: int, depth: int):
@@ -230,6 +248,9 @@ def _floor_root(p: int, r: int, depth: int):
 # name stays, always empty, for callers that check for a cold start.
 _digit_cache: dict = {}
 
+# Maps each ASCII digit to its value.
+_DIGIT_VALUES = bytes.maketrans(b"0123456789", bytes(range(10)))
+
 
 def root_fractional_digits(p: int, r: int, first: int, count: int) -> np.ndarray:
     """Decimal digits of the fractional part of p ** (1/r).
@@ -239,11 +260,14 @@ def root_fractional_digits(p: int, r: int, first: int, count: int) -> np.ndarray
     a perfect r-th power, so the root is irrational and the expansion
     never terminates.
     """
-    for name, value, low in (("p", p, 2), ("r", r, 2), ("first", first, 1), ("count", count, 0)):
-        int_arg(name, value, low)
+    # Plain ints in range skip the checks, which name the first bad argument.
+    if not (type(p) is type(r) is type(first) is type(count) is int
+            and p >= 2 and r >= 2 and first >= 1 and count >= 0):
+        for name, value, low in (("p", p, 2), ("r", r, 2), ("first", first, 1), ("count", count, 0)):
+            int_arg(name, value, low)
     # An empty window only needs the perfect-power check, which depth 0 gives.
     root, exact = _floor_root(p, r, first + count - 1 if count else 0)
     if exact:
         raise ValueError(f"{p} is a perfect power of degree {r}; its root has no fractional digits")
-    digits = str(root)[-count:] if count else ""
-    return np.frombuffer(digits.encode("ascii"), dtype=np.uint8) - ord("0")
+    digits = bytearray(str(root)[-count:] if count else "", "ascii")
+    return np.frombuffer(digits.translate(_DIGIT_VALUES), np.uint8)

@@ -1,5 +1,7 @@
 import hashlib
 import math
+import sys
+import threading
 import tracemalloc
 from dataclasses import replace
 from decimal import Decimal
@@ -10,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import rootrand.generator as generator_mod
+import rootrand.primes as primes_mod
 import rootrand.roots as roots_mod
 from rootrand import (
     ConfigError,
@@ -21,6 +24,7 @@ from rootrand import (
     compare_digits,
     concat,
     digits_stream,
+    first_n_primes,
     generate_bits,
     operator_O,
     pair_frequency_table,
@@ -243,6 +247,44 @@ def test_fresh_cache_recomputes(monkeypatch):
         walks.append(calls[start:])
     assert walks[0] == walks[1]
     assert len({(p, r) for p, r, _ in walks[0]}) == len(walks[0]) > 0
+
+
+def test_threads_share_one_cache_and_one_prime_table(monkeypatch):
+    # Four threads ask one 300-digit config for prefixes of different lengths,
+    # and for prime tables of different sizes, while the shared caches and the
+    # prime table start empty. Each prefix equals a fresh single-thread walk's,
+    # one cache serves every thread, and the prime tables agree.
+    config = GeneratorConfig(n_pairs=40, rounds=4, precision_digits=300)
+    lengths = (3000, 60_000, 20_000, 150_000)
+    want = StreamCache(config).prefix(max(lengths))
+    monkeypatch.setattr(generator_mod, "_shared", {})
+    monkeypatch.setattr(primes_mod, "_table", np.zeros(0, dtype=np.int64))
+    barrier, results = threading.Barrier(len(lengths)), {}
+
+    def work(i, n):
+        barrier.wait(timeout=60)
+        primes, cache = first_n_primes(5000 + 3000 * i), shared_stream(config)
+        results[i] = (generate_bits(config, n), cache, primes)
+
+    threads = [threading.Thread(target=work, args=(i, n)) for i, n in enumerate(lengths)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert sorted(results) == list(range(len(lengths)))
+    assert list(generator_mod._shared) == [config]
+    table = first_n_primes(5000 + 3000 * len(lengths))
+    for i, n in enumerate(lengths):
+        bits, cache, primes = results[i]
+        assert np.array_equal(bits, want[:n])
+        assert cache is generator_mod._shared[config]
+        assert primes == table[: 5000 + 3000 * i]
 
 
 def test_workers_match_single_process(desk_config):

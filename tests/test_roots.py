@@ -13,8 +13,16 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import rootrand.generator as generator_mod
 import rootrand.roots as roots_mod
-from rootrand import GeneratorConfig, StreamCache, first_n_primes, int_nth_root, root_fractional_digits
+from rootrand import (
+    GeneratorConfig,
+    StreamCache,
+    first_n_primes,
+    generate_bits,
+    int_nth_root,
+    root_fractional_digits,
+)
 from rootrand.generator import _entries, _entry_windows
 from rootrand.roots import _newton_nth_root
 
@@ -253,6 +261,50 @@ def test_certificate_is_sound():
     assert accepted > 450
 
 
+def test_error_bound_covers_the_step_bound(monkeypatch):
+    # err, taken from exponents, is at least the step's bound (2*d**2 + 4*u) * v,
+    # u = 5*10**-top, computed exactly from the d, v and top it was given.
+    rng = np.random.default_rng(20261021)
+    primes = [int(p) for p in _PRIMES_BELOW_1E5]
+    error_bound, seen = roots_mod._error_bound, []
+
+    def recorded(d, v, top):
+        err = error_bound(d, v, top)
+        seen.append((d, v, top, err))
+        return err
+
+    monkeypatch.setattr(roots_mod, "_error_bound", recorded)
+    for _ in range(500):
+        p, r, depth = int(rng.choice(primes)), int(rng.choice([2, 3, 5, 7, 11, 281])), int(rng.integers(0, 401))
+        roots_mod._newton_root(p, r, depth)
+    bounded = [(d, v, top, err) for d, v, top, err in seen if err is not None]
+    assert len(seen) == 500 and len(bounded) > 450
+    for d, v, top, err in bounded:
+        assert Fraction(err) >= (2 * Fraction(d) ** 2 + 4 * Fraction(5, 10**top)) * Fraction(v), (d, v, top)
+
+
+def test_roots_ignore_the_callers_decimal_context(monkeypatch):
+    # Under a 3-digit context that traps every signal, FloatOperation
+    # included, roots and a fresh stream come out as under the default
+    # context, and that context's flags stay clear.
+    _force_fallback(monkeypatch)
+    config = GeneratorConfig(n_pairs=6, rounds=4, precision_digits=300)
+    windows = [(p, r, 51, 250) for p in (2, 5, 10007, 99991) for r in (2, 3, 5, 7)]
+    want = [root_fractional_digits(*w) for w in windows]
+    want_bits = StreamCache(config).prefix(4000)
+    monkeypatch.setattr(generator_mod, "_shared", {})
+    with decimal.localcontext() as ctx:
+        ctx.prec = 3
+        ctx.clear_flags()  # a copy of the current context, flags included
+        for signal in ctx.traps:
+            ctx.traps[signal] = True
+        got = [root_fractional_digits(*w) for w in windows]
+        got_bits = generate_bits(config, 4000)
+        assert not any(ctx.flags.values())
+    assert all(np.array_equal(a, b) for a, b in zip(got, want))
+    assert np.array_equal(got_bits, want_bits)
+
+
 @pytest.mark.parametrize("depth", [0, 3, 50])
 @pytest.mark.parametrize("p, r", [(4, 2), (8, 3), (32, 5), (2**11, 11)])
 def test_perfect_powers_are_never_certified(monkeypatch, p, r, depth):
@@ -436,7 +488,7 @@ def test_window_concatenation(p, r, first, a, b):
 @settings(max_examples=60)
 def test_digits_stay_in_range(p, r, first, count):
     digits = root_fractional_digits(p, r, first, count)
-    assert digits.dtype == np.uint8
+    assert digits.dtype == np.uint8 and digits.flags.writeable
     assert digits.size == count
     assert digits.max() <= 9
 
