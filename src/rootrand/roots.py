@@ -6,12 +6,23 @@ p * 10**(r*D) carries the first D fractional digits in its low decimal
 positions. Those digits are exact and do not change when D grows.
 
 _floor_root computes that integer root for every window, and whether it
-is exact: with gmpy2 when it imports, else in the standard library's
-``decimal``, whose multiplication stays fast at a hundred thousand digits
-and whose output is already decimal. There, Newton's method on the inverse
-root, z <- z + z*(1 - p*z**r)/r, converges to p**(-1/r) and divides only
-by the small int r; y = p*z**(r-1) is then the root. Every result T is
-proved before use, in one of two ways:
+is exact. Three functions answer it, each exact on its own:
+
+- _gmpy2_floor, gmpy2.iroot on the whole radicand;
+- _integer_floor, the integer Newton iteration of int_nth_root;
+- _decimal_floor, a Newton iteration in the standard library's
+  ``decimal``, whose multiplication stays fast at a hundred thousand
+  digits and whose output is already decimal, falling back to
+  _integer_floor wherever its certificate cannot decide.
+
+_floor_root is bound once, at import: to _gmpy2_floor when gmpy2 imports,
+else to _decimal_floor. _integer_floor is never the default; the tests run
+the pinned streams on every function here that can run.
+
+In _decimal_floor, Newton's method on the inverse root,
+z <- z + z*(1 - p*z**r)/r, converges to p**(-1/r) and divides only by the
+small int r; y = p*z**(r-1) is then the root. Every result T is proved
+before use, in one of two ways:
 
 - A certificate from the last Newton step. With d = 1 - y*z, the identity
   p**(1/r) = y * (1 - d)**(-(r-1)/r) holds exactly for any z > 0, and the
@@ -22,9 +33,9 @@ proved before use, in one of two ways:
   (_newton_root derives both). When the interval of half-width err around
   y*10**D holds no integer, its floor is T and the root is irrational at
   that depth.
-- Otherwise, by the integer Newton iteration of int_nth_root, whose last
-  loops enforce T**r <= x < (T+1)**r. It runs for perfect powers, whose
-  root is an integer that no error interval can exclude, for
+- Otherwise, by _integer_floor, whose integer Newton iteration ends in
+  loops that enforce T**r <= x < (T+1)**r. It runs for perfect powers,
+  whose root is an integer that no error interval can exclude, for
   |d| >= 10**-2, and for the rare y*10**D within err of an integer.
   x = p * 10**(r*D) is an r-th power exactly when p is, so the integer
   root of p alone decides perfect powers.
@@ -49,7 +60,7 @@ try:
     import gmpy2
 
     _HAVE_GMPY2 = True
-except ImportError:  # pragma: no cover - exercised via monkeypatching in tests
+except ImportError:  # pragma: no cover - depends on the machine
     _HAVE_GMPY2 = False
 
 __all__ = ["int_nth_root", "root_fractional_digits"]
@@ -225,23 +236,40 @@ def _newton_floor(p: int, r: int, depth: int):
     return t, err < frac and _EXACT.add(frac, err) < 1
 
 
-def _floor_root(p: int, r: int, depth: int):
-    """(T, exact) for T = floor((p * 10**(r*depth)) ** (1/r)), like gmpy2.iroot.
+def _gmpy2_floor(p: int, r: int, depth: int):
+    """(T, exact) for T = floor((p * 10**(r*depth)) ** (1/r)), from gmpy2.iroot.
 
-    exact tells whether T**r equals the radicand. Without gmpy2, T is the
-    floor that _newton_floor certified, with exact False, or else the
-    integer root: s * 10**depth where p = s**r, scaled without rounding,
-    or else the root of the whole radicand.
+    exact tells whether T**r equals the radicand. Callable only where
+    gmpy2 imports.
     """
-    if _HAVE_GMPY2:
-        return gmpy2.iroot(gmpy2.mpz(p) * gmpy2.mpz(10) ** (r * depth), r)
-    t, certified = _newton_floor(p, r, depth)
-    if certified:
-        return t, False
+    return gmpy2.iroot(gmpy2.mpz(p) * gmpy2.mpz(10) ** (r * depth), r)
+
+
+def _integer_floor(p: int, r: int, depth: int):
+    """(T, exact) as _gmpy2_floor gives them, by integer Newton alone.
+
+    T is s * 10**depth where p = s**r, scaled without rounding, with exact
+    True; or else the integer root of the whole radicand.
+    """
     s = _newton_nth_root(p, r)
     if s**r == p:
         return _EXACT.scaleb(Decimal(s), depth), True
     return Decimal(_newton_nth_root(p * 10 ** (r * depth), r)), False
+
+
+def _decimal_floor(p: int, r: int, depth: int):
+    """(T, exact) as _gmpy2_floor gives them: the floor that _newton_floor
+    certified, with exact False, or else _integer_floor's answer."""
+    t, certified = _newton_floor(p, r, depth)
+    if certified:
+        return t, False
+    return _integer_floor(p, r, depth)
+
+
+# The floor root every digit window and stats' spot check use: gmpy2's
+# where it imports, else the certified decimal one. Bound once, here;
+# nothing chooses among the three per call.
+_floor_root = _gmpy2_floor if _HAVE_GMPY2 else _decimal_floor
 
 
 # No stream walk asks for one (p, r) twice, so roots are not cached. The

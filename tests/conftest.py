@@ -4,7 +4,14 @@ from pathlib import Path
 import pytest
 
 import rootrand
+import rootrand.generator as generator_mod
+import rootrand.roots as roots_mod
+import rootrand.stats as stats_mod
 from rootrand import GeneratorConfig
+
+# Every floor-root function this interpreter can run: gmpy2's only where it imports.
+FLOOR_FUNCTIONS = (roots_mod._decimal_floor, roots_mod._integer_floor) + (
+    (roots_mod._gmpy2_floor,) if roots_mod._HAVE_GMPY2 else ())
 
 
 @pytest.fixture(scope="session")
@@ -34,3 +41,44 @@ def worked_config():
         c2=(17,),
         degrees=(3,),
     )
+
+
+@pytest.fixture(scope="session")
+def floor_functions():
+    return FLOOR_FUNCTIONS
+
+
+@pytest.fixture(params=FLOOR_FUNCTIONS, ids=lambda floor: floor.__name__.strip("_").removesuffix("_floor"))
+def floor_backend(request, monkeypatch):
+    """Run the test once on each floor-root function in FLOOR_FUNCTIONS.
+
+    The function is bound as _floor_root in roots and in stats, which
+    imports it by value, and the shared stream caches start empty, so each
+    leg computes its roots again. Worker pools inherit the binding only
+    because they start by fork, the default start method on Linux up to
+    Python 3.13; a spawned or forkserver worker would import roots afresh
+    and use the default. On the
+    integer leg the decimal root raises, and the test must have called
+    _newton_nth_root, so that leg cannot pass on decimal or cached bits.
+    Yields the bound function.
+    """
+    floor = request.param
+    monkeypatch.setattr(roots_mod, "_floor_root", floor)
+    monkeypatch.setattr(stats_mod, "_floor_root", floor)
+    monkeypatch.setattr(generator_mod, "_shared", {})
+    if floor is not roots_mod._integer_floor:
+        yield floor
+        return
+    newton, calls = roots_mod._newton_nth_root, []
+
+    def counted(x, r):
+        calls.append(r)
+        return newton(x, r)
+
+    def decimal_root(p, r, depth):
+        raise AssertionError("the integer leg reached the decimal root")
+
+    monkeypatch.setattr(roots_mod, "_newton_nth_root", counted)
+    monkeypatch.setattr(roots_mod, "_newton_floor", decimal_root)
+    yield floor
+    assert calls, "the integer leg computed no root"

@@ -452,7 +452,7 @@ PINNED_OUTPUTS = {
 }
 
 
-def test_data_files_pinned(tmp_path):
+def test_data_files_pinned(floor_backend, tmp_path):
     runs = {
         "test": ["test", "--suite", "all", "--precision", "300", "--strings", "2", "--pairs", "20000",
                  "--out", str(tmp_path / "test" / "report.csv")],

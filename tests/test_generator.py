@@ -202,7 +202,7 @@ def test_desk_fingerprint(desk_config):
     assert got == DESK_FIRST_64
 
 
-def test_paper_prefix_pinned():
+def test_paper_prefix_pinned(floor_backend):
     bits = generate_bits(PAPER_CONFIG, 100_000)
     assert hashlib.sha256(np.packbits(bits).tobytes()).hexdigest() == PAPER_FIRST_100K_SHA256
     # Entry 0 compares the square roots of 2 and 224737; its windows are
@@ -326,6 +326,23 @@ def test_entry_bits_do_not_depend_on_depth():
         assert 0 < shorter.size < longer.size and np.array_equal(longer[: shorter.size], shorter)
     for config, entry_bits in zip(configs, bits):
         assert np.array_equal(StreamCache(config).prefix(entry_bits.size), entry_bits)
+
+
+def test_withheld_configuration_recovered_from_64_bits():
+    # A direct attack on a private block index and skip: by the property
+    # above, a candidate's entry 0 needs its roots to only skip + 100
+    # digits, whatever the precision. Among 610 candidates, 64 output bits
+    # of the planted config match the planted pair alone.
+    planted = GeneratorConfig(block_index=7, skip_digits=73)
+    observed = StreamCache(planted).prefix(64)
+    hits = []
+    for block in range(10):
+        for skip in range(40, 101):
+            candidate = GeneratorConfig(block_index=block, skip_digits=skip, precision_digits=skip + 100)
+            bits = operator_O(*_entry_windows(candidate, next(_entries(candidate, 0, 1))))
+            if np.array_equal(bits[:64], observed):
+                hits.append((block, skip))
+    assert hits == [(7, 73)]
 
 
 def test_prefix_is_read_only(desk_config):

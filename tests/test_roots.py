@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 import rootrand.generator as generator_mod
 import rootrand.roots as roots_mod
+import rootrand.stats as stats_mod
 from rootrand import (
     GeneratorConfig,
     StreamCache,
@@ -117,7 +118,8 @@ def default_int_str_cap():
 
 
 def _force_fallback(monkeypatch):
-    monkeypatch.setattr(roots_mod, "_HAVE_GMPY2", False)
+    """Bind the decimal floor root, the default only where gmpy2 does not import."""
+    monkeypatch.setattr(roots_mod, "_floor_root", roots_mod._decimal_floor)
 
 
 def _scaled_root(whole, digits):
@@ -169,7 +171,7 @@ def test_decimal_fallback_matches_mpmath(p, r, window):
     mpmath = pytest.importorskip("mpmath")
     first, count = window
     depth = first + count - 1
-    with mock.patch.object(roots_mod, "_HAVE_GMPY2", False):
+    with mock.patch.object(roots_mod, "_floor_root", roots_mod._decimal_floor):
         got = root_fractional_digits(p, r, first, count)
     # The reference goes through exp(log(p) / r): mpmath.root loses up to
     # ~40 of its digits near 1840 dps (its seventh root of 23929 at that
@@ -183,14 +185,15 @@ def test_decimal_fallback_matches_mpmath(p, r, window):
 
 @pytest.mark.parametrize("depth", [0, 1, 50, 2000])
 @pytest.mark.parametrize("r", [2, 3, 5, 7, 13, 101])
-def test_decimal_floor_root_matches_sympy(monkeypatch, sympy, r, depth):
-    # The one-power proof 0 <= x - T**r < r*T**(r-1) must give the same
-    # (T, exact) as an independent integer root, perfect powers included.
-    _force_fallback(monkeypatch)
+def test_decimal_floor_root_matches_sympy(floor_functions, sympy, r, depth):
+    # Every floor-root function gives the floor root of the decimally scaled
+    # radicand p * 10**(r*depth), and whether it is exact, as an independent
+    # integer root does, perfect powers included.
     radicands = (2, 3, 99991) + {3: (8,), 5: (32,)}.get(r, ())
-    for p in radicands:
-        t, exact = roots_mod._floor_root(p, r, depth)
-        assert (int(t), exact) == sympy.integer_nthroot(p * 10 ** (r * depth), r)
+    for floor in floor_functions:
+        for p in radicands:
+            t, exact = floor(p, r, depth)
+            assert (int(t), exact) == sympy.integer_nthroot(p * 10 ** (r * depth), r), floor.__name__
 
 
 _NEWTON_FLOOR = roots_mod._newton_floor
@@ -307,19 +310,27 @@ def test_roots_ignore_the_callers_decimal_context(monkeypatch):
 
 @pytest.mark.parametrize("depth", [0, 3, 50])
 @pytest.mark.parametrize("p, r", [(4, 2), (8, 3), (32, 5), (2**11, 11)])
-def test_perfect_powers_are_never_certified(monkeypatch, p, r, depth):
-    _force_fallback(monkeypatch)
+def test_perfect_powers_are_never_certified(floor_functions, p, r, depth):
     assert roots_mod._newton_floor(p, r, depth)[1] is False
-    t, exact = roots_mod._floor_root(p, r, depth)
-    assert exact and int(t) == 2 * 10**depth
+    for floor in floor_functions:
+        t, exact = floor(p, r, depth)
+        assert exact and int(t) == 2 * 10**depth, floor.__name__
 
 
-def test_wide_perfect_power_root_is_not_rounded(monkeypatch):
+def test_wide_perfect_power_root_is_not_rounded(floor_functions):
     # A 31-digit root scaled by 10**3: the default 28-digit context would round it.
-    _force_fallback(monkeypatch)
     s = 10**30 + 7
-    t, exact = roots_mod._floor_root(s**2, 2, 3)
-    assert exact and int(t) == s * 10**3
+    for floor in floor_functions:
+        t, exact = floor(s**2, 2, 3)
+        assert exact and int(t) == s * 10**3, floor.__name__
+
+
+def test_default_floor_root_binding():
+    # gmpy2's floor root wherever gmpy2 imports, else the decimal one; stats
+    # holds the same function.
+    default = roots_mod._gmpy2_floor if roots_mod._HAVE_GMPY2 else roots_mod._decimal_floor
+    assert roots_mod._floor_root is default
+    assert stats_mod._floor_root is default
 
 
 @pytest.mark.parametrize(
@@ -369,12 +380,10 @@ def test_newton_plan_cache_is_bounded():
     assert info.misses == len(depths) and info.currsize == info.maxsize
 
 
-def test_fallback_matches_gmpy2(monkeypatch):
+def test_fallback_matches_gmpy2():
     pytest.importorskip("gmpy2")
-    _force_fallback(monkeypatch)
-    wide = root_fractional_digits(5, 3, 1, 5000)
-    monkeypatch.setattr(roots_mod, "_HAVE_GMPY2", True)
-    assert np.array_equal(wide, root_fractional_digits(5, 3, 1, 5000))
+    t, exact = roots_mod._decimal_floor(5, 3, 5000)
+    assert roots_mod._gmpy2_floor(5, 3, 5000) == (int(t), exact)
 
 
 def _stand_in_gmpy2(sympy):
@@ -385,16 +394,18 @@ def _stand_in_gmpy2(sympy):
 
 
 def _use_gmpy2(monkeypatch, gmpy2):
+    """Bind gmpy2's floor root, on the given module."""
     monkeypatch.setattr(roots_mod, "gmpy2", gmpy2, raising=False)
-    monkeypatch.setattr(roots_mod, "_HAVE_GMPY2", True)
+    monkeypatch.setattr(roots_mod, "_floor_root", roots_mod._gmpy2_floor)
 
 
-@pytest.fixture(params=["decimal", "gmpy2-stand-in"])
+@pytest.fixture(params=["decimal", "integer", "gmpy2-stand-in"])
 def backend(request, monkeypatch, sympy):
-    """Run the test once on each branch of the floor root."""
-    _force_fallback(monkeypatch)
+    """Run the test once on each floor-root function, gmpy2's on a stand-in."""
     if request.param == "gmpy2-stand-in":
         _use_gmpy2(monkeypatch, _stand_in_gmpy2(sympy))
+    else:
+        monkeypatch.setattr(roots_mod, "_floor_root", getattr(roots_mod, f"_{request.param}_floor"))
     return request.param
 
 
@@ -408,10 +419,10 @@ def backend(request, monkeypatch, sympy):
 def test_gmpy2_branch_matches_decimal(monkeypatch, sympy, p, r, first, count):
     depth = first + count - 1
     _force_fallback(monkeypatch)
-    root, exact = roots_mod._floor_root(p, r, depth)
+    root, exact = roots_mod._decimal_floor(p, r, depth)
     want = root_fractional_digits(p, r, first, count)
     _use_gmpy2(monkeypatch, _stand_in_gmpy2(sympy))
-    assert roots_mod._floor_root(p, r, depth) == (int(root), exact)
+    assert roots_mod._gmpy2_floor(p, r, depth) == (int(root), exact)
     assert np.array_equal(root_fractional_digits(p, r, first, count), want)
 
 
@@ -425,6 +436,8 @@ def test_int_nth_root_never_asks_gmpy2(monkeypatch):
 
     broken.mpz, broken.iroot = int, iroot
     _use_gmpy2(monkeypatch, broken)
+    with pytest.raises(RuntimeError):
+        root_fractional_digits(2, 2, 1, 1)
     assert int_nth_root(2 * 10**20, 2) == 14142135623
     assert int_nth_root(7**3 - 1, 3) == 6
 
