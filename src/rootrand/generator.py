@@ -48,9 +48,16 @@ class StreamExhausted(RuntimeError):
     """More output was requested than a fixed override schedule can supply."""
 
 
+# The largest prime an override may hold. primes.is_prime sieves up to
+# isqrt(n) in one array, which this bound keeps to 1 MB.
+_MAX_OVERRIDE_PRIME = 10**12
+
+
 def _check_prime_tuple(name: str, values) -> tuple[int, ...]:
     out = tuple(int_arg(f"each {name} entry", v, error=ConfigError) for v in values)
     for v in out:
+        if v > _MAX_OVERRIDE_PRIME:
+            raise ConfigError(f"{name} entries must be at most {_MAX_OVERRIDE_PRIME}, got {v}")
         if not _primes.is_prime(v):
             raise ConfigError(f"{name} must contain only primes, got {v}")
     if len(set(out)) != len(out):
@@ -65,8 +72,8 @@ class GeneratorConfig:
     The default values are the desk-scale working point: 200 prime pairs,
     4 rounds, a 20000-digit expansion per root with the first 50 digits
     skipped. c1, c2 and degrees override the canonical prime tables for
-    experiments with hand-picked primes; such configs stop at their single
-    block instead of advancing to fresh primes.
+    experiments with hand-picked primes, each at most 10**12; such configs
+    stop at their single block instead of advancing to fresh primes.
     """
 
     n_pairs: int = 200

@@ -20,7 +20,7 @@ from ._checks import bit_array, int_arg
 from .generator import (GeneratorConfig, StreamCache, _bits_for_digits, _block_values, _entries,
                         _entries_for_bits, digits_stream, shared_stream)
 from .primes import first_n_primes
-from .roots import _floor_root
+from .roots import int_nth_root, root_fractional_digits
 
 __all__ = [
     "TestReport",
@@ -300,6 +300,7 @@ def batch_test(
 
 def binomial_band(n: int, p: float = 0.05) -> tuple[int, int]:
     """Outward-rounded 3 sigma band of failure counts around the Binomial(n, p) mean."""
+    int_arg("n", n, 0)
     mu = n * p
     sigma = math.sqrt(n * p * (1 - p))
     return max(0, math.floor(mu - 3 * sigma)), math.ceil(mu + 3 * sigma)
@@ -308,7 +309,9 @@ def binomial_band(n: int, p: float = 0.05) -> tuple[int, int]:
 def digit_uniformity(config: GeneratorConfig, segments: int, segment_length: int, alpha: float = 0.05,
                      workers: int = 1) -> tuple[TestReport, ...]:
     """Chi-square(9) verdicts on the digit counts of consecutive segments of the stream's digits."""
-    digits, _ = digits_stream(config, int_arg("segments", segments, 1) * segment_length, workers)
+    int_arg("segments", segments, 1)
+    int_arg("segment_length", segment_length, 1)
+    digits, _ = digits_stream(config, segments * segment_length, workers)
     return tuple(
         _chi_square_report("digits", np.bincount(seg, minlength=10), segment_length / 10.0, alpha)
         for seg in digits.reshape(segments, segment_length)
@@ -430,19 +433,24 @@ def _worked_example_check():
 
 
 def _root_spot_check(samples: int = 500):
-    # The floor root every stream digit comes from, checked again in plain
-    # ints: a second arithmetic behind the one that proved it.
+    # The digit windows every stream entry reads, decode included, checked
+    # again in plain ints: T, the integer root followed by the first depth
+    # fractional digits, must satisfy T**r < p * 10**(r*depth) < (T+1)**r.
+    # The left bound is strict because a prime is never a perfect power.
     primes = first_n_primes(9592)  # every prime below 10**5
     rng = np.random.default_rng(20260819)
     for _ in range(samples):
         p = int(rng.choice(primes))
         r = int(rng.choice([2, 3, 5, 7, 11]))
         depth = int(rng.integers(0, 301))
-        t, exact = _floor_root(p, r, depth)
-        t, x = int(t), p * 10 ** (r * depth)
-        low = t ** r
-        if not (low <= x < (t + 1) ** r and bool(exact) == (low == x)):
-            return False, f"floor root bracket failed at p={p}, r={r}, depth={depth}"
+        failed = False, f"floor root bracket failed at p={p}, r={r}, depth={depth}"
+        try:
+            digits = root_fractional_digits(p, r, 1, depth)
+        except ValueError:  # the prime was reported as a perfect power
+            return failed
+        t = int(str(int_nth_root(p, r)) + "".join(map(str, digits.tolist())))
+        if not t ** r < p * 10 ** (r * depth) < (t + 1) ** r:
+            return failed
     return True, f"{samples} random floor-root brackets hold"
 
 
@@ -492,6 +500,13 @@ def _repro_checks(tables: dict) -> list[tuple[str, bool, str]]:
     return checks
 
 
+def _check_counts(strings, dist_strings, pairs, segments) -> None:
+    """The counts of repro_report and repro_plan, each an int of at least 1."""
+    for name, count in (("strings", strings), ("dist_strings", dist_strings), ("pairs", pairs),
+                        ("segments", segments)):
+        int_arg(name, count, 1)
+
+
 def repro_report(config: GeneratorConfig, strings: int, dist_strings: int, pairs: int, segments: int,
                  alpha: float = 0.05, workers: int = 1) -> tuple[dict, list[tuple[str, bool, str]]]:
     """Every table of the reproduction run, and its checks as (name, passed, detail) rows.
@@ -502,6 +517,7 @@ def repro_report(config: GeneratorConfig, strings: int, dist_strings: int, pairs
     counts for k = 1, 2, 3, the PairTally of `pairs` digit pairs, and the
     chi-square(9) reports of `segments` segments of 100000 digits.
     """
+    _check_counts(strings, dist_strings, pairs, segments)
     checks = [
         ("worked-example bits", *_worked_example_check()),
         ("integer root brackets", *_root_spot_check()),
@@ -532,6 +548,7 @@ def repro_plan(config: GeneratorConfig, strings: int, dist_strings: int, pairs: 
     each degree to (roots, seconds one root takes now); "estimate_s" adds
     about 5% to their time for the digit compares.
     """
+    _check_counts(strings, dist_strings, pairs, segments)
     digits = segments * _SEGMENT_LENGTH
     bits_needed = max(strings * DEFAULT_STRING_LENGTHS["pentads"], dist_strings * 1000, _bits_for_digits(digits))
     entries_bits = _entries_for_bits(config, bits_needed)
@@ -545,7 +562,7 @@ def repro_plan(config: GeneratorConfig, strings: int, dist_strings: int, pairs: 
     per_degree = {}
     for degree, n in sorted(Counter(e.root_degree for e in planned).items()):
         t0 = time.perf_counter()
-        _floor_root(10007, degree, config.precision_digits)
+        root_fractional_digits(10007, degree, config.skip_digits + 1, config.window)
         per_degree[degree] = (2 * n, time.perf_counter() - t0)
     return {
         "bits_needed": bits_needed,

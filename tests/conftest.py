@@ -6,7 +6,6 @@ import pytest
 import rootrand
 import rootrand.generator as generator_mod
 import rootrand.roots as roots_mod
-import rootrand.stats as stats_mod
 from rootrand import GeneratorConfig
 
 # Every floor-root function this interpreter can run: gmpy2's only where it imports.
@@ -52,19 +51,17 @@ def floor_functions():
 def floor_backend(request, monkeypatch):
     """Run the test once on each floor-root function in FLOOR_FUNCTIONS.
 
-    The function is bound as _floor_root in roots and in stats, which
-    imports it by value, and the shared stream caches start empty, so each
-    leg computes its roots again. Worker pools inherit the binding only
-    because they start by fork, the default start method on Linux up to
-    Python 3.13; a spawned or forkserver worker would import roots afresh
-    and use the default. On the
-    integer leg the decimal root raises, and the test must have called
-    _newton_nth_root, so that leg cannot pass on decimal or cached bits.
+    The function is bound as _floor_root in roots, and the shared stream
+    caches start empty, so each leg computes its roots again. Worker pools
+    inherit the binding only because they start by fork, the default start
+    method on Linux up to Python 3.13; a spawned or forkserver worker would
+    import roots afresh and use the default. On the integer leg the decimal
+    root raises, and the test must have called _newton_nth_root, so that
+    leg cannot pass on decimal or cached bits.
     Yields the bound function.
     """
     floor = request.param
     monkeypatch.setattr(roots_mod, "_floor_root", floor)
-    monkeypatch.setattr(stats_mod, "_floor_root", floor)
     monkeypatch.setattr(generator_mod, "_shared", {})
     if floor is not roots_mod._integer_floor:
         yield floor

@@ -22,6 +22,7 @@ from rootrand import (
     prime_pair_sets,
     root_fractional_digits,
 )
+from rootrand.stats import binomial_band, digit_uniformity, repro_plan, repro_report
 
 # (argument name, lowest accepted value, call with the worked config and the value)
 INT_ARGUMENTS = {
@@ -45,6 +46,17 @@ INT_ARGUMENTS = {
     ),
     "pair_frequency_table.max_pairs": ("max_pairs", 1, lambda cfg, v: pair_frequency_table(cfg, v)),
     "pair_frequency_table.workers": ("workers", 1, lambda cfg, v: pair_frequency_table(cfg, 3, v)),
+    "digit_uniformity.segment_length": ("segment_length", 1, lambda cfg, v: digit_uniformity(cfg, 2, v)),
+    "binomial_band.n": ("n", 0, lambda cfg, v: binomial_band(v)),
+    # repro_report checks its counts before it runs any of its checks.
+    "repro_plan.strings": ("strings", 1, lambda cfg, v: repro_plan(cfg, v, 1, 1, 1)),
+    "repro_plan.dist_strings": ("dist_strings", 1, lambda cfg, v: repro_plan(cfg, 1, v, 1, 1)),
+    "repro_plan.pairs": ("pairs", 1, lambda cfg, v: repro_plan(cfg, 1, 1, v, 1)),
+    "repro_plan.segments": ("segments", 1, lambda cfg, v: repro_plan(cfg, 1, 1, 1, v)),
+    "repro_report.strings": ("strings", 1, lambda cfg, v: repro_report(cfg, v, 1, 1, 1)),
+    "repro_report.dist_strings": ("dist_strings", 1, lambda cfg, v: repro_report(cfg, 1, v, 1, 1)),
+    "repro_report.pairs": ("pairs", 1, lambda cfg, v: repro_report(cfg, 1, 1, v, 1)),
+    "repro_report.segments": ("segments", 1, lambda cfg, v: repro_report(cfg, 1, 1, 1, v)),
     "int_nth_root.x": ("x", 0, lambda cfg, v: int_nth_root(v, 2)),
     "int_nth_root.r": ("r", 1, lambda cfg, v: int_nth_root(8, v)),
     "root_fractional_digits.p": ("p", 2, lambda cfg, v: root_fractional_digits(v, 3, 1, 1)),

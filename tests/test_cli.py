@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 import rootrand.generator as generator_mod
+import rootrand.roots as roots_mod
 import rootrand.stats as stats_mod
 from rootrand import GeneratorConfig, bits_to_decimal, cli, digits_stream, first_n_primes, generate_bits
 from rootrand.cli import RunManifest, load_config_file, main
@@ -123,6 +124,11 @@ def test_cli_error_paths(tmp_path, capsys):
     bad.write_text("n_pairs = 1\nmystery = 4\n")
     assert main(["gen-bits", "--config", str(bad), "--count", "3", "--out", str(out)]) == 2
     assert "mystery" in capsys.readouterr().err
+    # A 31-digit override prime is refused before the prime test would sieve up to its square root.
+    huge = tmp_path / "huge.cfg"
+    huge.write_text("n_pairs = 1\nrounds = 1\nc1 = 1000000000000000000000000000057\nc2 = 17\n")
+    assert main(["gen-bits", "--config", str(huge), "--count", "3", "--out", str(out)]) == 2
+    assert "at most 1000000000000" in capsys.readouterr().err
     malformed = tmp_path / "malformed.cfg"
     malformed.write_text("rounds = 1\nn_pairs = abc\n")
     assert main(["gen-bits", "--config", str(malformed), "--count", "3", "--out", str(out)]) == 2
@@ -284,14 +290,15 @@ def test_repro_desk_smoke(tmp_path):
 
 
 def test_root_spot_check_tests_the_stream_root(monkeypatch):
-    # repro's "integer root brackets" row must fail when the floor root the
-    # stream uses is wrong.
+    # repro's "integer root brackets" row must fail, not raise, when the floor
+    # root the stream reads is one too high or calls a prime a perfect power.
     assert stats_mod._root_spot_check(samples=20) == (True, "20 random floor-root brackets hold")
-    floor_root = stats_mod._floor_root
-    monkeypatch.setattr(stats_mod, "_floor_root", lambda p, r, depth: (floor_root(p, r, depth)[0] + 1, False))
-    ok, detail = stats_mod._root_spot_check(samples=20)
-    assert not ok
-    assert detail.startswith("floor root bracket failed at p=")
+    floor_root = roots_mod._floor_root
+    for bad_root in (lambda t: (t + 1, False), lambda t: (t, True)):
+        monkeypatch.setattr(roots_mod, "_floor_root", lambda p, r, depth: bad_root(floor_root(p, r, depth)[0]))
+        ok, detail = stats_mod._root_spot_check(samples=20)
+        assert not ok
+        assert detail.startswith("floor root bracket failed at p=")
 
 
 def test_repro_full_scale_plan(tmp_path):

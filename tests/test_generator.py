@@ -84,6 +84,8 @@ def test_config_is_frozen_and_hashable(desk_config):
         dict(n_pairs=1, rounds=1, precision_digits=100, c1=(5,), c2=("17",)),
         dict(n_pairs=1, rounds=1, precision_digits=100, c1=(5,), c2=(17,), degrees=(3.2,)),
         dict(n_pairs=2, rounds=1, c1=(5, 5), c2=(17, 19), match="c1 must not repeat primes"),
+        # Above the bound, checked before the prime test sieves up to isqrt of the entry.
+        dict(n_pairs=1, rounds=1, c1=(10**30 + 57,), c2=(17,), match="c1 entries must be at most 1000000000000"),
     ],
 )
 def test_config_rejects_invalid(kwargs):

@@ -61,6 +61,20 @@ def test_cli_imports_only_public_library_names():
     assert private == []
 
 
+def test_only_roots_reads_its_private_names():
+    # Which floor root answers is decided in roots alone: no other module
+    # imports a private roots name, which would copy its binding by value.
+    private = [
+        f"{path.name}: {alias.name}"
+        for path in sorted(SOURCE.glob("*.py")) if path.name != "roots.py"
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module == "roots"
+        for alias in node.names
+        if alias.name.startswith("_")
+    ]
+    assert private == []
+
+
 def test_cli_holds_no_verdict():
     # repro's thresholds and reference values live in stats.repro_report;
     # the CLI only writes what it returns.

@@ -15,7 +15,6 @@ from hypothesis import strategies as st
 
 import rootrand.generator as generator_mod
 import rootrand.roots as roots_mod
-import rootrand.stats as stats_mod
 from rootrand import (
     GeneratorConfig,
     StreamCache,
@@ -200,8 +199,8 @@ _NEWTON_FLOOR = roots_mod._newton_floor
 
 
 def _offset_newton(monkeypatch, offset):
-    """Move every decimal Newton result by offset units in its last place,
-    uncertified, so that the integer fallback must answer instead."""
+    """Move every decimal Newton result by offset units in its last place
+    and mark it uncertified, as an estimate the certificate cannot prove."""
 
     def off(p, r, depth):
         t, _ = _NEWTON_FLOOR(p, r, depth)
@@ -210,36 +209,26 @@ def _offset_newton(monkeypatch, offset):
     monkeypatch.setattr(roots_mod, "_newton_floor", off)
 
 
-def test_bracket_repairs_a_near_miss(monkeypatch):
-    # An uncertified estimate one unit off leaves the digits unchanged.
+@pytest.mark.parametrize(
+    "offset, p, r, count",
+    [(1, 5, 3, 5000), (-1, 5, 3, 5000), (1000, 5, 3, 5000), (-1000, 5, 3, 5000), (None, 99991, 7, 20000)],
+    ids=["near-miss-up", "near-miss-down", "far-miss-up", "far-miss-down", "no-error-bound"],
+)
+def test_uncertified_root_comes_from_the_integer_root(monkeypatch, offset, p, r, count):
+    # A decimal estimate one unit or 1000 units off, or a last step that
+    # gives no error bound (offset None), is never certified and never used:
+    # the integer root answers, with the certified run's digits, in under 5 s.
     _force_fallback(monkeypatch)
-    want = root_fractional_digits(5, 3, 1, 5000)
-    for offset in (1, -1):
+    want = root_fractional_digits(p, r, 1, count)
+    if offset is None:
+        newton_root = roots_mod._newton_root
+        monkeypatch.setattr(roots_mod, "_newton_root", lambda p, r, depth: (newton_root(p, r, depth)[0], None))
+    else:
         _offset_newton(monkeypatch, offset)
-        assert np.array_equal(root_fractional_digits(5, 3, 1, 5000), want)
-
-
-def test_bracket_rejects_a_far_miss(monkeypatch):
-    # An estimate 1000 units off is never used: the integer root answers
-    # with the same digits, and no slower than a repair would.
-    _force_fallback(monkeypatch)
-    want = root_fractional_digits(5, 3, 1, 5000)
-    for offset in (1000, -1000):
-        _offset_newton(monkeypatch, offset)
-        start = time.perf_counter()
-        assert np.array_equal(root_fractional_digits(5, 3, 1, 5000), want)
-        assert time.perf_counter() - start < 5
-
-
-def test_step_without_a_bound_falls_back(monkeypatch):
-    # A last step that gives no error bound is never certified; the integer
-    # root then gives the same 20k digits as the certified run.
-    _force_fallback(monkeypatch)
-    want = root_fractional_digits(99991, 7, 1, 20000)
-    newton_root = roots_mod._newton_root
-    monkeypatch.setattr(roots_mod, "_newton_root", lambda p, r, depth: (newton_root(p, r, depth)[0], None))
-    assert roots_mod._newton_floor(99991, 7, 20000)[1] is False
-    assert np.array_equal(root_fractional_digits(99991, 7, 1, 20000), want)
+    assert roots_mod._newton_floor(p, r, count)[1] is False
+    start = time.perf_counter()
+    assert np.array_equal(root_fractional_digits(p, r, 1, count), want)
+    assert time.perf_counter() - start < 5
 
 
 def test_certificate_is_sound():
@@ -326,11 +315,9 @@ def test_wide_perfect_power_root_is_not_rounded(floor_functions):
 
 
 def test_default_floor_root_binding():
-    # gmpy2's floor root wherever gmpy2 imports, else the decimal one; stats
-    # holds the same function.
+    # gmpy2's floor root wherever gmpy2 imports, else the decimal one.
     default = roots_mod._gmpy2_floor if roots_mod._HAVE_GMPY2 else roots_mod._decimal_floor
     assert roots_mod._floor_root is default
-    assert stats_mod._floor_root is default
 
 
 @pytest.mark.parametrize(
