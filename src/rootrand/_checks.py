@@ -17,6 +17,14 @@ def int_arg(name: str, value, low: int | None = None, high: int | None = None, e
     return value
 
 
+def alpha_arg(alpha, name: str = "alpha") -> float:
+    """alpha as a float strictly between 0 and 1, else a ValueError naming name."""
+    alpha = float(alpha)
+    if not 0.0 < alpha < 1.0:
+        raise ValueError(f"{name} must lie strictly between 0 and 1")
+    return alpha
+
+
 def _small_ints(values, high: int, message: str) -> np.ndarray:
     """values as uint8 if they are bools or ints in 0..high, checked before the cast."""
     arr = np.asarray(values)

@@ -33,7 +33,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ._checks import int_arg
+from ._checks import alpha_arg, int_arg
 from .generator import ConfigError, GeneratorConfig, StreamExhausted, digits_stream, generate_bits
 from .stats import (
     DEFAULT_STRING_LENGTHS,
@@ -421,8 +421,7 @@ def main(argv=None) -> int:
         for key in _COUNT_FLAGS:
             if getattr(args, key, None) is not None:
                 int_arg("--" + key.replace("_", "-"), getattr(args, key), 1)
-        if not 0.0 < getattr(args, "alpha", 0.5) < 1.0:
-            raise ValueError("--alpha must lie strictly between 0 and 1")
+        alpha_arg(getattr(args, "alpha", 0.5), "--alpha")
         config = resolve_config(args)
         path, status, counts, files, text = args.func(args, config)
         _write_files(files)

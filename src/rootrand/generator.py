@@ -48,16 +48,11 @@ class StreamExhausted(RuntimeError):
     """More output was requested than a fixed override schedule can supply."""
 
 
-# The largest prime an override may hold. primes.is_prime sieves up to
-# isqrt(n) in one array, which this bound keeps to 1 MB.
-_MAX_OVERRIDE_PRIME = 10**12
-
-
 def _check_prime_tuple(name: str, values) -> tuple[int, ...]:
     out = tuple(int_arg(f"each {name} entry", v, error=ConfigError) for v in values)
     for v in out:
-        if v > _MAX_OVERRIDE_PRIME:
-            raise ConfigError(f"{name} entries must be at most {_MAX_OVERRIDE_PRIME}, got {v}")
+        if v > _primes.MAX_IS_PRIME:
+            raise ConfigError(f"{name} entries must be at most {_primes.MAX_IS_PRIME}, got {v}")
         if not _primes.is_prime(v):
             raise ConfigError(f"{name} must contain only primes, got {v}")
     if len(set(out)) != len(out):
@@ -72,8 +67,10 @@ class GeneratorConfig:
     The default values are the desk-scale working point: 200 prime pairs,
     4 rounds, a 20000-digit expansion per root with the first 50 digits
     skipped. c1, c2 and degrees override the canonical prime tables for
-    experiments with hand-picked primes, each at most 10**12; such configs
-    stop at their single block instead of advancing to fresh primes.
+    experiments with hand-picked primes, each at most primes.MAX_IS_PRIME;
+    such configs stop at their single block instead of advancing to fresh
+    primes. A canonical config's first block must lie within the prime
+    table's primes.MAX_RANK ranks.
     """
 
     n_pairs: int = 200
@@ -102,6 +99,9 @@ class GeneratorConfig:
                 raise ConfigError("c1 and c2 must be disjoint")
             object.__setattr__(self, "c1", c1)
             object.__setattr__(self, "c2", c2)
+        elif (ranks := 2 * self.n_pairs * (self.block_index + 1)) > _primes.MAX_RANK:
+            raise ConfigError(f"block_index {self.block_index} at n_pairs {self.n_pairs} needs {ranks} prime "
+                              f"ranks; the prime table holds at most MAX_RANK = {_primes.MAX_RANK}")
         if self.degrees is not None:
             degrees = _check_prime_tuple("degrees", self.degrees)
             if len(degrees) != self.rounds:

@@ -16,7 +16,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from ._checks import bit_array, int_arg
+from ._checks import alpha_arg, bit_array, int_arg
 from .generator import (GeneratorConfig, StreamCache, _bits_for_digits, _block_values, _entries,
                         _entries_for_bits, digits_stream, shared_stream)
 from .primes import first_n_primes
@@ -151,10 +151,7 @@ def _critical_cached(dof: int, alpha: float) -> float:
 def chi_square_critical(dof: int, alpha: float = 0.05) -> float:
     """Upper critical value: the x with P(chi2_dof <= x) = 1 - alpha."""
     int_arg("dof", dof, 1)
-    alpha = float(alpha)
-    if not 0.0 < alpha < 1.0:
-        raise ValueError("alpha must lie strictly between 0 and 1")
-    return _critical_cached(dof, alpha)
+    return _critical_cached(dof, alpha_arg(alpha))
 
 
 # ---------------------------------------------------------------------------
@@ -216,8 +213,7 @@ def ngram_block_test(bits, k: int, alpha: float = 0.05) -> TestReport:
     dropped. Each of the 2**k patterns is expected equally often, giving
     2**k - 1 degrees of freedom.
     """
-    if k not in _NGRAM_NAMES:
-        raise ValueError("k must be one of 2, 3, 4, 5")
+    int_arg("k", k, 2, 5)
     arr = bit_array(bits)
     patterns = 1 << k
     if arr.size < k * patterns:
@@ -280,6 +276,7 @@ def batch_test(
     workers: int = 1,
 ) -> BatchResult:
     """Run one named test on n_strings consecutive disjoint stream slices, keeping each slice's report."""
+    alpha_arg(alpha)
     if test not in TEST_RUNNERS:
         raise ValueError(f"unknown test {test!r}; pick one of {sorted(TEST_RUNNERS)}")
     runner = TEST_RUNNERS[test]
@@ -299,7 +296,8 @@ def batch_test(
 
 
 def binomial_band(n: int, p: float = 0.05) -> tuple[int, int]:
-    """Outward-rounded 3 sigma band of failure counts around the Binomial(n, p) mean."""
+    """Outward-rounded 3 sigma band of failure counts around the Binomial(n, p) mean, p in (0, 1)."""
+    alpha_arg(p, "p")
     int_arg("n", n, 0)
     mu = n * p
     sigma = math.sqrt(n * p * (1 - p))
@@ -309,6 +307,7 @@ def binomial_band(n: int, p: float = 0.05) -> tuple[int, int]:
 def digit_uniformity(config: GeneratorConfig, segments: int, segment_length: int, alpha: float = 0.05,
                      workers: int = 1) -> tuple[TestReport, ...]:
     """Chi-square(9) verdicts on the digit counts of consecutive segments of the stream's digits."""
+    alpha_arg(alpha)
     int_arg("segments", segments, 1)
     int_arg("segment_length", segment_length, 1)
     digits, _ = digits_stream(config, segments * segment_length, workers)
@@ -517,6 +516,7 @@ def repro_report(config: GeneratorConfig, strings: int, dist_strings: int, pairs
     counts for k = 1, 2, 3, the PairTally of `pairs` digit pairs, and the
     chi-square(9) reports of `segments` segments of 100000 digits.
     """
+    alpha_arg(alpha)
     _check_counts(strings, dist_strings, pairs, segments)
     checks = [
         ("worked-example bits", *_worked_example_check()),

@@ -15,6 +15,7 @@ from rootrand import (
     first_n_primes,
     generate_bits,
     int_nth_root,
+    ngram_block_test,
     nth_prime,
     ones_count_distribution,
     pair_frequency_table,
@@ -22,6 +23,7 @@ from rootrand import (
     prime_pair_sets,
     root_fractional_digits,
 )
+from rootrand.primes import is_prime
 from rootrand.stats import binomial_band, digit_uniformity, repro_plan, repro_report
 
 # (argument name, lowest accepted value, call with the worked config and the value)
@@ -30,6 +32,7 @@ INT_ARGUMENTS = {
     "nth_prime.k": ("k", 1, lambda cfg, v: nth_prime(v)),
     "prime_pair_sets.n_pairs": ("n_pairs", 1, lambda cfg, v: prime_pair_sets(v, 0)),
     "prime_pair_sets.block_index": ("block_index", 0, lambda cfg, v: prime_pair_sets(3, v)),
+    "is_prime.n": ("n", 0, lambda cfg, v: is_prime(v)),
     "StreamCache.prefix.n_bits": ("n_bits", 0, lambda cfg, v: StreamCache(cfg).prefix(v)),
     "StreamCache.prefix.workers": ("workers", 1, lambda cfg, v: StreamCache(cfg).prefix(3, v)),
     "StreamCache.pair_counts.n_pairs": ("n_pairs", 0, lambda cfg, v: StreamCache(cfg).pair_counts(v)),
@@ -38,6 +41,7 @@ INT_ARGUMENTS = {
     "pair_stream.max_pairs": ("max_pairs", 0, lambda cfg, v: pair_stream(cfg, v)),
     "digits_stream.count": ("count", 1, lambda cfg, v: digits_stream(cfg, v)),
     "chi_square_critical.dof": ("dof", 1, lambda cfg, v: chi_square_critical(v)),
+    "ngram_block_test.k": ("k", 2, lambda cfg, v: ngram_block_test([0, 1] * 40, v)),
     "batch_test.n_strings": ("n_strings", 1, lambda cfg, v: batch_test(cfg, "dyads", v, 8)),
     "batch_test.string_length": ("string_length", 1, lambda cfg, v: batch_test(cfg, "dyads", 1, v)),
     "ones_count_distribution.n_strings": ("n_strings", 1, lambda cfg, v: ones_count_distribution(cfg, v, 8)),

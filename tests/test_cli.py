@@ -129,6 +129,10 @@ def test_cli_error_paths(tmp_path, capsys):
     huge.write_text("n_pairs = 1\nrounds = 1\nc1 = 1000000000000000000000000000057\nc2 = 17\n")
     assert main(["gen-bits", "--config", str(huge), "--count", "3", "--out", str(out)]) == 2
     assert "at most 1000000000000" in capsys.readouterr().err
+    # A block past the prime table's rank bound is refused before the sieve allocates.
+    assert main(["gen-bits", "--block", "1000000000", "--count", "10", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "block_index 1000000000" in err and "MAX_RANK = 6000000" in err and "Traceback" not in err
     malformed = tmp_path / "malformed.cfg"
     malformed.write_text("rounds = 1\nn_pairs = abc\n")
     assert main(["gen-bits", "--config", str(malformed), "--count", "3", "--out", str(out)]) == 2

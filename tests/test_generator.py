@@ -32,6 +32,7 @@ from rootrand import (
     schedule,
 )
 from rootrand.generator import _block_values, _entries, _entry_windows, shared_stream
+from rootrand.primes import is_prime
 
 # Regression anchor: the first 64 bits of the default stream, confirmed
 # by two independent implementations of the pipeline. Any change here
@@ -86,6 +87,9 @@ def test_config_is_frozen_and_hashable(desk_config):
         dict(n_pairs=2, rounds=1, c1=(5, 5), c2=(17, 19), match="c1 must not repeat primes"),
         # Above the bound, checked before the prime test sieves up to isqrt of the entry.
         dict(n_pairs=1, rounds=1, c1=(10**30 + 57,), c2=(17,), match="c1 entries must be at most 1000000000000"),
+        # The first block's last rank, 2 * 200 * 15001, is past the prime table's bound.
+        dict(block_index=15_000, match="block_index 15000 at n_pairs 200 needs 6000400 prime ranks; "
+                                       "the prime table holds at most MAX_RANK = 6000000"),
     ],
 )
 def test_config_rejects_invalid(kwargs):
@@ -98,6 +102,14 @@ def test_config_rejects_invalid(kwargs):
 def test_config_boundary_skips():
     GeneratorConfig(skip_digits=40)
     GeneratorConfig(skip_digits=100)
+
+
+def test_walk_past_the_rank_bound_raises():
+    # The first block ends at rank MAX_RANK, so the config is valid; entry 1
+    # opens the next block, and its primes are refused before any sieve runs.
+    config = GeneratorConfig(n_pairs=1, rounds=1, block_index=primes_mod.MAX_RANK // 2 - 1)
+    with pytest.raises(ValueError, match=rf"6000002 primes asked for; .* MAX_RANK = {primes_mod.MAX_RANK}"):
+        list(_entries(config, 1, 2))
 
 
 # ---------------------------------------------------------------------------
@@ -253,9 +265,10 @@ def test_fresh_cache_recomputes(monkeypatch):
 
 def test_threads_share_one_cache_and_one_prime_table(monkeypatch):
     # Four threads ask one 300-digit config for prefixes of different lengths,
-    # and for prime tables of different sizes, while the shared caches and the
-    # prime table start empty. Each prefix equals a fresh single-thread walk's,
-    # one cache serves every thread, and the prime tables agree.
+    # for prime tables of different sizes and for a primality test that grows
+    # the table, while the shared caches and the prime table start empty. Each
+    # prefix equals a fresh single-thread walk's, one cache serves every
+    # thread, and the prime tables agree.
     config = GeneratorConfig(n_pairs=40, rounds=4, precision_digits=300)
     lengths = (3000, 60_000, 20_000, 150_000)
     want = StreamCache(config).prefix(max(lengths))
@@ -265,8 +278,9 @@ def test_threads_share_one_cache_and_one_prime_table(monkeypatch):
 
     def work(i, n):
         barrier.wait(timeout=60)
+        prime = is_prime(999_999_999_989 - 2 * i)
         primes, cache = first_n_primes(5000 + 3000 * i), shared_stream(config)
-        results[i] = (generate_bits(config, n), cache, primes)
+        results[i] = (generate_bits(config, n), cache, primes, prime)
 
     threads = [threading.Thread(target=work, args=(i, n)) for i, n in enumerate(lengths)]
     interval = sys.getswitchinterval()
@@ -283,10 +297,11 @@ def test_threads_share_one_cache_and_one_prime_table(monkeypatch):
     assert list(generator_mod._shared) == [config]
     table = first_n_primes(5000 + 3000 * len(lengths))
     for i, n in enumerate(lengths):
-        bits, cache, primes = results[i]
+        bits, cache, primes, prime = results[i]
         assert np.array_equal(bits, want[:n])
         assert cache is generator_mod._shared[config]
         assert primes == table[: 5000 + 3000 * i]
+        assert prime == (i == 0)
 
 
 def test_workers_match_single_process(desk_config):

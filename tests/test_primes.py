@@ -1,9 +1,11 @@
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import rootrand.primes as primes_mod
 from rootrand import first_n_primes, nth_prime, prime_pair_sets
-from rootrand.primes import is_prime
+from rootrand.primes import MAX_IS_PRIME, MAX_RANK, is_prime
 
 
 def test_first_five():
@@ -28,8 +30,21 @@ def test_sympy_cross_check():
 
 def test_is_prime_matches_sympy():
     sympy = pytest.importorskip("sympy")
-    wrong = [n for n in range(20_001) if is_prime(n) != sympy.isprime(n)]
-    assert wrong == []
+    for numbers in (range(20_001), range(10**12 - 2000, 10**12 + 1)):
+        wrong = [n for n in numbers if is_prime(n) != sympy.isprime(n)]
+        assert wrong == []
+
+
+def test_is_prime_grows_the_shared_table_once(monkeypatch):
+    # is_prime divides by the shared table: from empty it grows the table to
+    # every prime up to 10**6 = isqrt(10**12), and a second call reuses it.
+    monkeypatch.setattr(primes_mod, "_table", np.zeros(0, dtype=np.int64))
+    assert is_prime(999_999_999_989)
+    table = primes_mod._table
+    assert table[-1] >= 10**6
+    assert np.searchsorted(table, 10**6) == 78_498  # pi(10**6)
+    assert not is_prime(999_983 * 1_000_003)  # its least factor is the last prime below 10**6
+    assert primes_mod._table is table
 
 
 @given(n=st.integers(min_value=1, max_value=3000), k=st.integers(min_value=0, max_value=50))
@@ -79,3 +94,14 @@ def test_prime_validation():
         prime_pair_sets(3, -1)
     with pytest.raises(ValueError):
         first_n_primes(True)
+    # Past the table's rank bound every request fails before the sieve allocates.
+    bound = rf"at most MAX_RANK = {MAX_RANK}\b"
+    with pytest.raises(ValueError, match=bound):
+        first_n_primes(MAX_RANK + 1)
+    with pytest.raises(ValueError, match=bound):
+        nth_prime(MAX_RANK + 1)
+    with pytest.raises(ValueError, match=bound):
+        prime_pair_sets(200, 10**9)
+    for n in (True, 2.5, -1, MAX_IS_PRIME + 1):
+        with pytest.raises(ValueError, match=rf"\bn must be an int in 0\.\.{MAX_IS_PRIME}\b"):
+            is_prime(n)

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import rootrand.generator as generator_mod
 import rootrand.roots as roots_mod
 import rootrand.stats as stats_mod
 from rootrand import (
@@ -32,6 +33,7 @@ from rootrand.stats import (
     binomial_band,
     digit_uniformity,
     repro_plan,
+    repro_report,
 )
 
 # ---------------------------------------------------------------------------
@@ -305,6 +307,27 @@ def test_batch_validation(desk_config):
 def test_binomial_band():
     assert binomial_band(1000, 0.05) == (29, 71)  # the acceptance gate's FAIL_BAND
     assert binomial_band(20, 0.05) == (0, 4)  # the lower edge clipped at 0
+
+
+ALPHA_CALLS = {
+    "batch_test": lambda cfg, alpha: batch_test(cfg, "dyads", 20, 8000, alpha),
+    "digit_uniformity": lambda cfg, alpha: digit_uniformity(cfg, 2, 1000, alpha),
+    "repro_report": lambda cfg, alpha: repro_report(cfg, 2, 20, 20_000, 1, alpha),
+    "binomial_band": lambda cfg, alpha: binomial_band(10, alpha),
+}
+
+
+@pytest.mark.parametrize("alpha", [0, 1, 1.5, math.nan])
+@pytest.mark.parametrize("name", sorted(ALPHA_CALLS))
+def test_alpha_checked_before_any_root(monkeypatch, name, alpha):
+    # A bad alpha fails first: no root is computed, and binomial_band gives no math domain error.
+    def no_root(*args):
+        raise AssertionError("a root was computed")
+
+    monkeypatch.setattr(roots_mod, "_floor_root", no_root)
+    monkeypatch.setattr(generator_mod, "_shared", {})
+    with pytest.raises(ValueError, match=r"\b(alpha|p) must lie strictly between 0 and 1"):
+        ALPHA_CALLS[name](GeneratorConfig(precision_digits=300), alpha)
 
 
 def test_digit_uniformity_matches_manual(desk_config):
